@@ -149,6 +149,37 @@ TEST(CpuSched, AffinityPinsThreadToCpu) {
   EXPECT_EQ(sched.cpu_meter(1).total_busy(), Time::ms(40));
 }
 
+TEST(CpuSched, UnpinnedThreadPreemptsPastABlockedPinnedHead) {
+  // The most urgent waiting thread, a, is pinned to cpu0, which runs the
+  // even more urgent x, so a cannot preempt anything. That must not stop the
+  // less urgent but unpinned b from preempting y on cpu1.
+  Engine eng;
+  CpuScheduler sched{eng, {.num_cpus = 2, .quantum = Time::ms(200),
+                           .context_switch = Time::zero(),
+                           .meter_sample = Time::ms(100)}};
+  auto& x = sched.create_thread("x", 1, /*affinity=*/0);
+  auto& y = sched.create_thread("y", 10, /*affinity=*/1);
+  auto& a = sched.create_thread("a", 5, /*affinity=*/0);
+  auto& b = sched.create_thread("b", 6);
+  Time done_a = Time::never(), done_b = Time::never(), done_y = Time::never();
+  auto w = [&](CpuScheduler::Thread& t, Time at, Time work,
+               Time& out) -> Coro {
+    co_await Delay{eng, at};
+    co_await sched.run(t, work);
+    out = eng.now();
+  };
+  Time done_x = Time::never();
+  w(x, Time::zero(), Time::ms(100), done_x).detach();
+  w(y, Time::zero(), Time::ms(100), done_y).detach();
+  w(a, Time::ms(1), Time::ms(1), done_a).detach();
+  w(b, Time::ms(1), Time::ms(1), done_b).detach();
+  eng.run();
+  EXPECT_EQ(done_b, Time::ms(2));    // preempted y at 1 ms
+  EXPECT_EQ(done_y, Time::ms(101));  // 100 ms of work + 1 ms preempted
+  EXPECT_EQ(done_x, Time::ms(100));
+  EXPECT_EQ(done_a, Time::ms(101));  // waits for x on its own CPU
+}
+
 TEST(CpuSched, ContextSwitchCostCharged) {
   Engine eng;
   CpuScheduler sched{eng, one_cpu(Time::ms(10), /*cs=*/Time::us(100))};
