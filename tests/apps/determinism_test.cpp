@@ -7,6 +7,8 @@
 // checks global invariants.
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "apps/experiments.hpp"
 #include "dwcs/scheduler.hpp"
 #include "sim/random.hpp"
@@ -60,11 +62,14 @@ TEST(Determinism, SeedChangesResults) {
 
 // ---- Full-stack scheduler fuzz ---------------------------------------------
 
+// gtest names each case after the raw bytes of its parameter, so the
+// struct must have no padding: `completion_anchor` is an int (0 or 1).
 struct FuzzAxis {
   dwcs::ArithMode arith;
   dwcs::ReprKind repr;
-  bool completion_anchor;
+  int completion_anchor;
 };
+static_assert(std::has_unique_object_representations_v<FuzzAxis>);
 
 class DwcsFuzz : public ::testing::TestWithParam<FuzzAxis> {};
 

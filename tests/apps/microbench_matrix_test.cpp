@@ -4,16 +4,21 @@
 // point, not just the published corners.
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "apps/experiments.hpp"
 
 namespace nistream::apps {
 namespace {
 
+// gtest names each case after the raw bytes of its parameter, so the
+// struct must have no padding: `dcache` is an int (0 or 1), not a bool.
 struct MatrixPoint {
-  bool dcache;
+  int dcache;
   dwcs::DescriptorResidency residency;
   int n_streams;
 };
+static_assert(std::has_unique_object_representations_v<MatrixPoint>);
 
 class MicrobenchMatrix : public ::testing::TestWithParam<MatrixPoint> {
  protected:

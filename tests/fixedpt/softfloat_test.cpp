@@ -12,6 +12,7 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <ostream>
 
 #include "sim/random.hpp"
 
@@ -129,6 +130,10 @@ struct BinOpCase {
   float (*hw)(float, float);
   SoftFloat (*sw)(SoftFloat, SoftFloat);
 };
+
+// Without this gtest names each case after the raw bytes of the struct,
+// function addresses included, which change from run to run.
+void PrintTo(const BinOpCase& op, std::ostream* os) { *os << op.name; }
 
 class SoftFloatVsHardware : public ::testing::TestWithParam<BinOpCase> {};
 
