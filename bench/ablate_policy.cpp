@@ -24,8 +24,11 @@
 // The DWCS cells double as an engine cross-check: a dual-heap shadow
 // scheduler consumes the identical frame/gate sequence and must dispatch
 // and drop identically at every slot ("dual_heap_identical" in the JSON;
-// any mismatch fails the run). Output: stdout table + schema-versioned
-// JSON (default BENCH_policy.json) with `--seed`, `--out`, `--jobs`.
+// any mismatch fails the run). The shadow runs on an accounted hook that
+// discards its charges, so it is the modeled Figure 4(a) dual heap with its
+// tie scan — an uncharged kDualHeap would be the PIFO engine again. Output:
+// stdout table + schema-versioned JSON (default BENCH_policy.json) with
+// `--seed`, `--out`, `--jobs`.
 #include <array>
 #include <cstdint>
 #include <cstdio>
@@ -37,6 +40,7 @@
 #include "bench_util.hpp"
 #include "cli.hpp"
 #include "dwcs/monitor.hpp"
+#include "dwcs/pifo.hpp"
 #include "dwcs/scheduler.hpp"
 #include "runner.hpp"
 
@@ -52,10 +56,14 @@ constexpr std::uint64_t kRequiredBp = 7'500;  // basis points of one slot
 
 const char* engine_of(dwcs::PolicyKind p) {
   switch (p) {
-    case dwcs::PolicyKind::kDwcs: return "pifo-dwcs";
-    case dwcs::PolicyKind::kEdf: return "pifo-edf";
-    case dwcs::PolicyKind::kStaticPriority: return "pifo-sp";
-    case dwcs::PolicyKind::kWfq: return "pifo-wfq";
+    case dwcs::PolicyKind::kDwcs: return dwcs::DwcsRank::kPifoName;
+    case dwcs::PolicyKind::kEdf: return dwcs::EdfRank::kPifoName;
+    case dwcs::PolicyKind::kStaticPriority:
+      return dwcs::StaticPriorityRank::kPifoName;
+    case dwcs::PolicyKind::kRoundRobin: return dwcs::RoundRobinRank::kPifoName;
+    case dwcs::PolicyKind::kWfq: return dwcs::WfqRank::kPifoName;
+    case dwcs::PolicyKind::kTenantDwcs:
+      return dwcs::TenantDwcsRank::kPifoName;
   }
   return "?";
 }
@@ -79,12 +87,13 @@ struct Cell {
   double aggregate_rate = 0;
 };
 
-std::unique_ptr<dwcs::DwcsScheduler> make_sched(dwcs::ReprKind repr,
-                                                dwcs::PolicyKind policy) {
+std::unique_ptr<dwcs::DwcsScheduler> make_sched(
+    dwcs::ReprKind repr, dwcs::PolicyKind policy,
+    dwcs::CostHook& hook = dwcs::null_cost_hook()) {
   dwcs::DwcsScheduler::Config cfg;
   cfg.repr = repr;
   cfg.policy = policy;
-  return std::make_unique<dwcs::DwcsScheduler>(cfg);
+  return std::make_unique<dwcs::DwcsScheduler>(cfg, hook);
 }
 
 Cell run_cell(dwcs::PolicyKind policy, unsigned load_pct, std::uint64_t seed) {
@@ -94,9 +103,10 @@ Cell run_cell(dwcs::PolicyKind policy, unsigned load_pct, std::uint64_t seed) {
   c.service_share_pct = kRequiredBp / load_pct;  // 83 at 90%, 68 at 110%
 
   auto sched = make_sched(dwcs::ReprKind::kPifo, policy);
+  dwcs::CostHook discard;  // accounted: selects the modeled dual heap
   std::unique_ptr<dwcs::DwcsScheduler> shadow;
   if (policy == dwcs::PolicyKind::kDwcs) {
-    shadow = make_sched(dwcs::ReprKind::kDualHeap, policy);
+    shadow = make_sched(dwcs::ReprKind::kDualHeap, policy, discard);
     c.checked_identity = true;
   }
 

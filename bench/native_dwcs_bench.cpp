@@ -6,7 +6,6 @@
 // the build machine.
 #include <benchmark/benchmark.h>
 
-#include "dwcs/baselines.hpp"
 #include "dwcs/comparator.hpp"
 #include "dwcs/scheduler.hpp"
 #include "fixedpt/softfloat.hpp"
@@ -17,7 +16,7 @@ using sim::Time;
 
 namespace {
 
-void setup_streams(dwcs::PacketScheduler& s, int n) {
+void setup_streams(dwcs::DwcsScheduler& s, int n) {
   sim::Rng rng{7};
   for (int i = 0; i < n; ++i) {
     const auto y = 2 + static_cast<std::int64_t>(rng.below(8));
@@ -107,7 +106,10 @@ void BM_SoftFloatDiv(benchmark::State& state) {
 BENCHMARK(BM_SoftFloatDiv);
 
 void BM_EdfScheduleNext(benchmark::State& state) {
-  dwcs::EdfScheduler sched;
+  dwcs::DwcsScheduler::Config cfg;
+  cfg.repr = dwcs::ReprKind::kPifo;
+  cfg.policy = dwcs::PolicyKind::kEdf;
+  dwcs::DwcsScheduler sched{cfg};
   setup_streams(sched, 8);
   std::uint64_t fid = 0;
   for (auto _ : state) {

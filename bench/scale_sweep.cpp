@@ -41,8 +41,9 @@
 // contend for cores, so publication-grade wall-clock numbers should use
 // `--jobs 1`. `--smoke` shrinks the grid and budgets for CI gate runs.
 // `--repr=<list>` selects the scheduler-family representations (default all
-// six flat kinds including `pifo`, the DWCS-ranked PIFO engine; the
-// hierarchical repr is swept separately via `--shards`).
+// five flat kinds including `pifo`, the DWCS-ranked PIFO engine, which is
+// also the engine the uncharged `dual-heap` rows time; the hierarchical repr
+// is swept separately via `--shards`).
 //
 // `--identity` switches to the CI decision-identity contract instead of a
 // timed sweep: dual-heap, the PIFO rank engine (DWCS rank), hierarchical
@@ -725,14 +726,15 @@ struct IdentityRow {
 
 /// Take exactly `budget` decisions and fold every dispatched stream id into
 /// an FNV-1a hash: two reprs that agree on (decisions, dispatch_fnv) made
-/// the same decision at every step.
+/// the same decision at every step. `hook` null runs uncharged.
 IdentityRow run_identity_cell(dwcs::ReprKind kind, std::uint32_t shards,
                               std::size_t n, std::uint64_t seed,
-                              std::uint64_t budget) {
+                              std::uint64_t budget,
+                              dwcs::CostHook* hook = nullptr) {
   IdentityRow row;
   row.repr = dwcs::to_string(kind);
   row.shards = kind == dwcs::ReprKind::kHierarchical ? shards : 0;
-  auto sched = make_loaded_scheduler(kind, shards, n, seed);
+  auto sched = make_loaded_scheduler(kind, shards, n, seed, hook);
   sim::Time now = sim::Time::zero();
   std::uint64_t fid = n;
   std::uint64_t fnv = 14695981039346656037ull;
@@ -761,13 +763,17 @@ int run_identity(const std::vector<std::uint32_t>& shard_list, std::size_t n,
   // Row 0 is the dual-heap reference, row 1 the flat PIFO rank engine under
   // the DWCS rank, then hierarchical at every shard count, then the
   // simulated-parallel execution mode at every shard count (appended last so
-  // pre-existing row positions stay stable for line-oriented CI diffs).
+  // pre-existing row positions stay stable for line-oriented CI diffs). The
+  // reference runs on an accounted hook that discards its charges, so it is
+  // the modeled Figure 4(a) dual heap with its tie scan, not the PIFO engine
+  // an uncharged kDualHeap would get.
+  dwcs::CostHook discard;
   const std::size_t n_serial = 2 + shard_list.size();
   std::vector<IdentityRow> rows(n_serial + shard_list.size());
   bench::run_cells(rows.size(), jobs, [&](std::size_t i) {
     if (i == 0) {
-      rows[i] =
-          run_identity_cell(dwcs::ReprKind::kDualHeap, 0, n, seed, budget);
+      rows[i] = run_identity_cell(dwcs::ReprKind::kDualHeap, 0, n, seed,
+                                  budget, &discard);
     } else if (i == 1) {
       rows[i] = run_identity_cell(dwcs::ReprKind::kPifo, 0, n, seed, budget);
     } else if (i < n_serial) {
@@ -825,7 +831,6 @@ int run_identity(const std::vector<std::uint32_t>& shard_list, std::size_t n,
 std::vector<dwcs::ReprKind> repr_flag(int argc, char** argv) {
   static constexpr std::pair<const char*, dwcs::ReprKind> kKnown[] = {
       {"dual-heap", dwcs::ReprKind::kDualHeap},
-      {"single-heap", dwcs::ReprKind::kSingleHeap},
       {"sorted-list", dwcs::ReprKind::kSortedList},
       {"fcfs", dwcs::ReprKind::kFcfs},
       {"calendar-queue", dwcs::ReprKind::kCalendarQueue},
@@ -834,7 +839,7 @@ std::vector<dwcs::ReprKind> repr_flag(int argc, char** argv) {
   std::vector<dwcs::ReprKind> out;
   for (const std::string& tok : bench::flag_str_list(
            argc, argv, "repr",
-           "dual-heap,single-heap,sorted-list,fcfs,calendar-queue,pifo")) {
+           "dual-heap,sorted-list,fcfs,calendar-queue,pifo")) {
     bool found = false;
     for (const auto& [name, kind] : kKnown) {
       if (tok == name) {
@@ -845,9 +850,9 @@ std::vector<dwcs::ReprKind> repr_flag(int argc, char** argv) {
     }
     if (!found) {
       std::fprintf(stderr,
-                   "bad --repr entry: '%s' (known: dual-heap, single-heap, "
-                   "sorted-list, fcfs, calendar-queue, pifo; hierarchical is "
-                   "swept via --shards)\n",
+                   "bad --repr entry: '%s' (known: dual-heap, sorted-list, "
+                   "fcfs, calendar-queue, pifo; hierarchical is swept via "
+                   "--shards)\n",
                    tok.c_str());
       std::exit(2);
     }

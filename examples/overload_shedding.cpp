@@ -7,7 +7,6 @@
 // of the paper's §5 made runnable.
 #include <cstdio>
 
-#include "dwcs/baselines.hpp"
 #include "dwcs/monitor.hpp"
 #include "dwcs/scheduler.hpp"
 
@@ -21,7 +20,11 @@ struct StreamSpec {
   dwcs::WindowConstraint tolerance;
 };
 
-void run(dwcs::PacketScheduler& sched, const StreamSpec (&specs)[3]) {
+void run(dwcs::PolicyKind policy, const StreamSpec (&specs)[3]) {
+  dwcs::DwcsScheduler::Config cfg;
+  cfg.repr = dwcs::ReprKind::kPifo;
+  cfg.policy = policy;
+  dwcs::DwcsScheduler sched{cfg};
   dwcs::WindowViolationMonitor monitor;
   std::vector<dwcs::StreamId> ids;
   for (const auto& spec : specs) {
@@ -91,16 +94,13 @@ int main() {
 
   std::printf("offered load: 3 x 100 pkt/s; capacity: ~80%%\n");
   std::printf("\nDWCS (window-constrained):\n");
-  dwcs::DwcsScheduler dwcs_sched{dwcs::DwcsScheduler::Config{}};
-  run(dwcs_sched, specs);
+  run(dwcs::PolicyKind::kDwcs, specs);
 
   std::printf("\nEDF (deadline only):\n");
-  dwcs::EdfScheduler edf;
-  run(edf, specs);
+  run(dwcs::PolicyKind::kEdf, specs);
 
   std::printf("\nRound-robin:\n");
-  dwcs::RoundRobinScheduler rr;
-  run(rr, specs);
+  run(dwcs::PolicyKind::kRoundRobin, specs);
 
   std::printf("\nDWCS keeps the teleconference clean by dropping thumbnail\n"
               "frames — the attribute-blind policies violate it instead.\n");

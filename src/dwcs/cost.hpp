@@ -32,9 +32,12 @@ class CostHook {
   /// Fixed control-flow overhead in CPU cycles (call/loop/branch costs).
   virtual void cycles(std::int64_t /*n*/) {}
 
-  /// False only for the shared null hook: charges are discarded, so charge
-  /// replays that exist solely to keep the simulated cost model bit-identical
-  /// (see DualHeapRepr::pick) can be skipped on pure wall-clock runs.
+  /// False only for the shared null hook: charges are discarded, so pure
+  /// wall-clock runs may skip charge sites outright and run a cheaper engine
+  /// that makes the same decisions (make_dual_heap hands them the PIFO
+  /// engine instead of the modeled Figure 4(a) dual heap). This base class
+  /// is accounted and discards every charge: use it to run the modeled
+  /// structures without a cost model.
   [[nodiscard]] virtual bool accounted() const { return true; }
 };
 

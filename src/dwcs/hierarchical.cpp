@@ -17,7 +17,6 @@ HierarchicalScheduler::HierarchicalScheduler(const StreamTable& table,
       charged_{hook.accounted()},
       hop_cycles_{params.hop_cycles},
       policy_{policy},
-      pifo_cores_{params.pifo_cores},
       tenant_{&cmp},
       root_pick_{RootWinnerLess{this}, hook,
                  base + params.shards * kCoreStride},
@@ -41,17 +40,17 @@ std::unique_ptr<ScheduleRepr> HierarchicalScheduler::make_core(
     SimAddr core_base) {
   switch (policy_) {
     case PolicyKind::kDwcs:
-      if (pifo_cores_) {
-        return std::make_unique<PifoRepr<DwcsRank>>(table_, DwcsRank{&cmp_},
-                                                    *hook_, core_base);
-      }
-      return std::make_unique<DualHeapRepr>(table_, cmp_, *hook_, core_base);
+      return make_dual_heap(table_, cmp_, *hook_, core_base);
     case PolicyKind::kEdf:
       return std::make_unique<PifoRepr<EdfRank>>(table_, EdfRank{}, *hook_,
                                                  core_base);
     case PolicyKind::kStaticPriority:
       return std::make_unique<PifoRepr<StaticPriorityRank>>(
           table_, StaticPriorityRank{}, *hook_, core_base);
+    case PolicyKind::kRoundRobin:
+      // Every core advances the scheduler-wide ledger held by rr_.
+      return std::make_unique<PifoRepr<RoundRobinRank>>(
+          table_, RoundRobinRank{rr_.state}, *hook_, core_base);
     case PolicyKind::kWfq:
       // Every core clocks against the scheduler-wide WfqState held by wfq_.
       return std::make_unique<PifoRepr<WfqRank>>(table_, WfqRank{wfq_.state},
@@ -74,6 +73,8 @@ bool HierarchicalScheduler::winner_precedes(StreamId a, StreamId b) const {
     case PolicyKind::kStaticPriority:
       return StaticPriorityRank{}.precedes(table_.view(a), a, table_.view(b),
                                            b);
+    case PolicyKind::kRoundRobin:
+      return rr_.precedes(table_.view(a), a, table_.view(b), b);
     case PolicyKind::kWfq:
       return wfq_.precedes(table_.view(a), a, table_.view(b), b);
     case PolicyKind::kTenantDwcs:

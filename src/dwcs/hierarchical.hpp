@@ -1,4 +1,4 @@
-// Sharded multi-core DWCS: N per-core dual heaps under a tiny root arbiter.
+// Sharded multi-core DWCS: N per-core engines under a tiny root arbiter.
 //
 // The paper's i960 co-processor is single-core, so every representation in
 // repr.cpp models ONE scheduling engine over the whole stream population —
@@ -12,8 +12,10 @@
 // across N simulated NI cores:
 //
 //  * Each core runs its own allocation-free schedule engine over its shard
-//    (a DualHeapRepr under DWCS, a PifoRepr<Rank> under any other rank
-//    policy — the layer shards ANY total rank order, not just rules 1-5).
+//    (the kDualHeap engine under DWCS — DualHeapRepr on charged runs,
+//    PifoRepr<DwcsRank> on uncharged ones, see make_dual_heap — and a
+//    PifoRepr<Rank> under any other rank policy; the layer shards ANY total
+//    rank order, not just rules 1-5).
 //    Shard assignment is a stable hash of the stream id — rebalance-free,
 //    identical across runs and boards (shard_of below).
 //  * A root arbiter keeps two N-entry indexed heaps whose elements are
@@ -22,8 +24,8 @@
 //    deadline under the rule-1+id order (late-packet processing).
 //
 // One decision is: read the root top (O(1)), mutate that stream's shard
-// (O(log shard_size)), re-decide the shard's winner (O(1), its dual heap
-// keeps it on top) and re-sift the two root entries (O(log N)). The hot
+// (O(log shard_size)), re-decide the shard's winner (O(1) on the uncharged
+// rank engine) and re-sift the two root entries (O(log N)). The hot
 // path is therefore O(log(n/N)) + O(log N) per decision instead of
 // O(log n) over one n-entry structure. Measured on one host core that is
 // roughly a wash — sharding trims the deep (cache-cold) sift levels but
@@ -38,8 +40,8 @@
 // every tie by stream id), so the minimum over per-shard minima is the
 // global minimum for ANY shard count — pick() and earliest_deadline()
 // return exactly what DualHeapRepr returns, decision for decision. The
-// 1-shard configuration is the degenerate proof anchor (one dual heap, one
-// root entry) and is differentially tested against DualHeapRepr; multi-
+// 1-shard configuration is the degenerate proof anchor (one core engine,
+// one root entry) and is differentially tested against DualHeapRepr; multi-
 // shard identity is tested on top of it.
 //
 // Cross-core cost model: when a mutation on core c changes what the root
@@ -87,9 +89,9 @@ inline constexpr SimAddr kCoreStride = 0x20000;
 class HierarchicalScheduler final : public ScheduleRepr {
  public:
   /// `policy` selects the rank order of the whole sharded machine: the
-  /// per-core engines (DualHeapRepr for DWCS unless params.pifo_cores, a
-  /// PifoRepr of the policy's rank struct otherwise) and the root arbiter's
-  /// winner order. The earliest-deadline side is policy-independent.
+  /// per-core engines (make_dual_heap for DWCS, a PifoRepr of the policy's
+  /// rank struct otherwise) and the root arbiter's winner order. The
+  /// earliest-deadline side is policy-independent.
   HierarchicalScheduler(const StreamTable& table, const Comparator& cmp,
                         CostHook& hook, SimAddr base,
                         const HierarchicalParams& params,
@@ -190,10 +192,10 @@ class HierarchicalScheduler final : public ScheduleRepr {
   /// is repaired here, once, at the next query. The common decision cycle
   /// (remove the dispatched stream, re-insert its refilled ring) dirties one
   /// shard twice but pays a single winner recompute + root sift — the same
-  /// host-side shortcut licence the uncharged DualHeapRepr uses for its
-  /// shadow heap. Charged runs never take this path: their root stays
-  /// eagerly consistent so each interconnect hop is charged at the mutation
-  /// that caused it, keeping the cycle ledger deterministic.
+  /// host-side shortcut licence that gives uncharged runs the PIFO engine
+  /// in place of the modeled dual heap. Charged runs never take this path:
+  /// their root stays eagerly consistent so each interconnect hop is charged
+  /// at the mutation that caused it, keeping the cycle ledger deterministic.
   void flush_dirty();
   void mark_dirty(std::uint32_t s) {
     if (!dirty_[s]) {
@@ -208,11 +210,13 @@ class HierarchicalScheduler final : public ScheduleRepr {
   bool charged_;  // cached hook.accounted(); false only for the null hook
   std::int64_t hop_cycles_;
   PolicyKind policy_;
-  bool pifo_cores_;
   /// WFQ root rank; its WfqState is shared with every per-core engine when
   /// policy_ == kWfq so finish tags are globally comparable (unused, but
   /// cheap, for the other policies).
   WfqRank wfq_;
+  /// Round-robin root rank; same sharing contract as wfq_ — every core
+  /// advances the one last-served ledger when policy_ == kRoundRobin.
+  RoundRobinRank rr_;
   /// Tenant-scoped hybrid root rank; same sharing contract as wfq_ — every
   /// core clocks scope finish tags against the one shared ledger when
   /// policy_ == kTenantDwcs.

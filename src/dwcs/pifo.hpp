@@ -18,18 +18,21 @@
 //     void on_charge(StreamId id, const StreamView& v);  // head dispatched
 //   };
 //
-// Four policies ship below: DWCS (precedence rules 1-5, delegating to
+// Six policies ship below: DWCS (precedence rules 1-5, delegating to
 // comparator.hpp so charged arithmetic is identical to every other DWCS
-// representation), EDF, static priority, and an SCFQ-style WFQ with integer
-// virtual finish times. The named heap comparators of the dual-heap world
-// (DeadlineIdLess / ToleranceLess / FullLess) are DERIVED from these rank
-// structs — the rank functions are the single statement of each order.
+// representation), EDF, static priority, round-robin, an SCFQ-style WFQ
+// with integer virtual finish times, and tenant-scoped DWCS. The named heap
+// comparators of the dual-heap model (DeadlineIdLess / ToleranceLess) are
+// DERIVED from these rank structs — the rank functions are the single
+// statement of each order.
 //
-// Decision identity: PifoRepr<DwcsRank> ranks by the same total order as
-// DualHeapRepr's full-order shadow heap, so both pick() the unique minimum
-// of the same order over the same set — decision-identical by construction,
-// and differentially tested (tests/dwcs/pifo_test.cpp, 1500-round lock-step
-// across seeds, flat and inside the hierarchical sharding layer).
+// Decision identity: PifoRepr<DwcsRank> keeps the rule-1..5 order in one
+// heap, and the Figure 4(a) dual heap (dual_heap.hpp) answers with the
+// minimum of the same total order (minimum deadline, tie broken by the
+// tolerance order), so the two pick the same stream on every round. The
+// PIFO engine is what uncharged runs execute under the "dual-heap" name;
+// the dual heap is what charged runs execute. The lock-step tests in
+// tests/dwcs/pifo_test.cpp and repr_differential_test.cpp hold them to it.
 #pragma once
 
 #include <algorithm>
@@ -102,6 +105,52 @@ struct StaticPriorityRank {
   }
   void on_insert(StreamId, const StreamView&) {}
   void on_charge(StreamId, const StreamView&) {}
+};
+
+/// Shared round-robin ledger: the (round, id) key of the stream served
+/// last. Separate from the rank struct for the same reason as WfqState: the
+/// hierarchical layer hands every per-core engine (and its own root winner
+/// order) the SAME ledger.
+struct RoundRobinState {
+  std::vector<std::uint64_t> round;  // per-stream round of its next service
+  std::uint64_t last_round = 0;
+  // Nothing served yet: every stream joins round 1, lowest id first.
+  StreamId last_id = kInvalidStream;
+};
+
+/// Round-robin as a rank: key (round, id). A stream joining the backlog
+/// lands in the current round if its id is past the last-served one, else
+/// in the next round; each service moves the served stream one round on.
+/// The minimum key is therefore the lowest backlogged id after the last
+/// served stream, wrapping to the lowest id overall — the classic cursor
+/// scan, with only the served stream's key ever changing.
+struct RoundRobinRank {
+  static constexpr const char* kPifoName = "pifo-rr";
+  static constexpr bool kStateful = true;
+
+  std::shared_ptr<RoundRobinState> state = std::make_shared<RoundRobinState>();
+
+  void on_insert(StreamId id, const StreamView&) {
+    auto& st = *state;
+    if (id >= st.round.size()) st.round.resize(id + 1, 0);
+    st.round[id] = id > st.last_id ? st.last_round : st.last_round + 1;
+  }
+
+  void on_charge(StreamId id, const StreamView&) {
+    auto& st = *state;
+    assert(id < st.round.size());
+    st.last_round = st.round[id];
+    st.last_id = id;
+    ++st.round[id];
+  }
+
+  [[nodiscard]] bool precedes(const StreamView&, StreamId ida,
+                              const StreamView&, StreamId idb) const {
+    const auto& st = *state;
+    assert(ida < st.round.size() && idb < st.round.size());
+    if (st.round[ida] != st.round[idb]) return st.round[ida] < st.round[idb];
+    return ida < idb;
+  }
 };
 
 /// Shared WFQ virtual-time ledger. Separate from the rank struct so the
@@ -275,8 +324,8 @@ struct TenantDwcsRank {
 
 // ---------------------------------------------------------------------------
 // Named heap comparators, derived from the rank structs above. These are the
-// orderings the dual-heap world is built from (dual_heap.hpp, repr.cpp,
-// hierarchical.cpp); each is a one-line delegation so the rank function is
+// orderings the dual-heap model is built from (dual_heap.hpp,
+// hierarchical.hpp); each is a one-line delegation so the rank function is
 // stated exactly once.
 
 /// Rule-1 ordering with id tie-break (the Figure 4(a) deadline heap) — the
@@ -299,15 +348,6 @@ struct ToleranceLess {
   }
 };
 
-/// Full precedence (rules 1-5), charged through `cmp` — the DWCS rank.
-struct FullLess {
-  const StreamTable* table;
-  const Comparator* cmp;
-  bool operator()(StreamId a, StreamId b) const {
-    return DwcsRank{cmp}.precedes(table->view(a), a, table->view(b), b);
-  }
-};
-
 /// IndexedHeap comparator over any rank policy: two dense view() loads plus
 /// one direct policy call per compare, same shape as the named comparators.
 template <class Policy>
@@ -325,10 +365,10 @@ struct RankLess {
 /// processing is an analysis-layer concern, not a policy concern — §3.1.1's
 /// decoupling of scheduling analysis from schedule representation).
 ///
-/// Simulated memory layout matches SingleHeapRepr exactly (rank heap at
-/// `base`, deadline heap at `base + 0x10000`), so PifoRepr<DwcsRank> IS the
-/// historical single-heap representation charge-for-charge; make_repr hands
-/// it out under the "single-heap" name.
+/// Simulated memory layout: rank heap at `base`, deadline heap at
+/// `base + 0x10000` (CostInvariance.PifoDwcsFixedPoint pins the DWCS-ranked
+/// charge stream). make_dual_heap also hands the DWCS-ranked engine out,
+/// under the "dual-heap" name, for uncharged ReprKind::kDualHeap runs.
 template <class Policy>
 class PifoRepr final : public ScheduleRepr {
  public:

@@ -12,12 +12,10 @@
 namespace nistream::dwcs {
 namespace {
 
-// DeadlineIdLess / ToleranceLess / FullLess live in pifo.hpp (derived from
-// the rank structs) and DualHeapRepr in dual_heap.hpp (hierarchical.hpp
-// instantiates one per simulated core). The historical SingleHeapRepr — one
-// heap under the full rule-1..5 comparator — is PifoRepr<DwcsRank> under its
-// old name (identical heap layout and charge stream; see pifo.hpp). The
-// remaining representations are single-board-only and stay private here.
+// DeadlineIdLess / ToleranceLess live in pifo.hpp (derived from the rank
+// structs) and DualHeapRepr in dual_heap.hpp (hierarchical.cpp builds one per
+// simulated core on charged runs). The remaining representations are
+// single-board-only and stay private here.
 
 /// Insertion-sorted list under the full comparator.
 class SortedListRepr final : public ScheduleRepr {
@@ -297,7 +295,6 @@ class CalendarQueueRepr final : public ScheduleRepr {
 const char* to_string(ReprKind kind) {
   switch (kind) {
     case ReprKind::kDualHeap: return "dual-heap";
-    case ReprKind::kSingleHeap: return "single-heap";
     case ReprKind::kSortedList: return "sorted-list";
     case ReprKind::kFcfs: return "fcfs";
     case ReprKind::kCalendarQueue: return "calendar-queue";
@@ -312,6 +309,7 @@ const char* to_string(PolicyKind policy) {
     case PolicyKind::kDwcs: return "dwcs";
     case PolicyKind::kEdf: return "edf";
     case PolicyKind::kStaticPriority: return "static-priority";
+    case PolicyKind::kRoundRobin: return "round-robin";
     case PolicyKind::kWfq: return "wfq";
     case PolicyKind::kTenantDwcs: return "tenant-dwcs";
   }
@@ -325,10 +323,7 @@ std::unique_ptr<ScheduleRepr> make_repr(ReprKind kind, const StreamTable& table,
                                         PolicyKind policy) {
   switch (kind) {
     case ReprKind::kDualHeap:
-      return std::make_unique<DualHeapRepr>(table, cmp, hook, heap_base);
-    case ReprKind::kSingleHeap:
-      return std::make_unique<PifoRepr<DwcsRank>>(table, DwcsRank{&cmp}, hook,
-                                                  heap_base, "single-heap");
+      return make_dual_heap(table, cmp, hook, heap_base);
     case ReprKind::kSortedList:
       return std::make_unique<SortedListRepr>(table, cmp, hook, heap_base);
     case ReprKind::kFcfs:
@@ -349,6 +344,9 @@ std::unique_ptr<ScheduleRepr> make_repr(ReprKind kind, const StreamTable& table,
         case PolicyKind::kStaticPriority:
           return std::make_unique<PifoRepr<StaticPriorityRank>>(
               table, StaticPriorityRank{}, hook, heap_base);
+        case PolicyKind::kRoundRobin:
+          return std::make_unique<PifoRepr<RoundRobinRank>>(
+              table, RoundRobinRank{}, hook, heap_base);
         case PolicyKind::kWfq:
           return std::make_unique<PifoRepr<WfqRank>>(table, WfqRank{}, hook,
                                                      heap_base);

@@ -8,22 +8,27 @@
 // earliest-deadline stream for late-packet processing — over the set of
 // currently backlogged streams.
 //
-// * DualHeapRepr     — the paper's Figure 4(a): a deadline heap plus a
+// * kDualHeap        — the paper's Figure 4(a): a deadline heap plus a
 //                      loss-tolerance heap; deadline ties are broken with
-//                      the tolerance ordering.
+//                      the tolerance ordering. The engine follows the hook:
+//                      an accounted hook gets DualHeapRepr (dual_heap.hpp),
+//                      the modeled structure whose charges Tables 1-2 were
+//                      calibrated on; the null hook gets PifoRepr<DwcsRank>,
+//                      which picks the same stream from one rule-1..5 heap
+//                      in O(1), under the same "dual-heap" name.
 // * PifoRepr<Policy> (pifo.hpp) — the programmable rank engine: one heap
 //                      under a policy's rank order plus the deadline heap.
-//                      kSingleHeap is this engine under the DWCS rank with
-//                      its historical name; kPifo selects the rank policy
-//                      via PolicyKind (DWCS, EDF, SP, WFQ).
+//                      kPifo selects the rank via PolicyKind (DWCS, EDF,
+//                      SP, RR, WFQ, tenant-DWCS).
 // * SortedListRepr   — insertion-sorted list, O(n) updates, O(1) pick.
 // * FcfsRepr         — arrival order of head packets; ignores attributes.
 // * CalendarQueueRepr— deadline-bucketed calendar queue.
 // * HierarchicalScheduler (hierarchical.hpp) — N per-core engines over
 //                      hash shards of the stream population, arbitrated by
 //                      an N-entry root heap of per-shard winners (the
-//                      sharded multi-core NI model). Cores are dual heaps
-//                      for DWCS and PIFO rank engines for any other policy.
+//                      sharded multi-core NI model). Cores follow the
+//                      kDualHeap rule under DWCS and are PIFO rank engines
+//                      for any other policy.
 //
 // All representations must agree with the DWCS rank order on pick() for any
 // state (except FCFS, which deliberately ignores the rules, and kPifo under
@@ -84,10 +89,11 @@ class ScheduleRepr {
   [[nodiscard]] virtual const char* name() const = 0;
 };
 
+/// Values are pinned because parameterised test names print them: 1 was a
+/// retired alias of the DWCS-ranked PIFO engine, the rest never moved.
 enum class ReprKind {
-  kDualHeap,
-  kSingleHeap,
-  kSortedList,
+  kDualHeap = 0,
+  kSortedList = 2,
   kFcfs,
   kCalendarQueue,
   kHierarchical,
@@ -104,6 +110,7 @@ enum class PolicyKind {
   kStaticPriority,  // lowest stream id
   kWfq,             // weighted fair queueing (SCFQ virtual finish times)
   kTenantDwcs,      // WFQ share across tenant scopes, DWCS within a scope
+  kRoundRobin,      // (round, id): cyclic service over backlogged streams
 };
 
 /// Knobs of the sharded multi-core representation (hierarchical.hpp). Lives
@@ -111,7 +118,8 @@ enum class PolicyKind {
 /// can carry it without pulling in the implementation header.
 struct HierarchicalParams {
   /// Simulated NI cores; each runs one schedule engine over its stream
-  /// shard — a DualHeapRepr for DWCS, a PifoRepr for any other rank policy.
+  /// shard — the kDualHeap engine for DWCS, a PifoRepr for any other rank
+  /// policy.
   /// Shard assignment is a stable hash of the stream id (rebalance-free).
   std::uint32_t shards = 8;
   /// Modeled cost of shipping a shard's winner update across the on-chip
@@ -119,11 +127,6 @@ struct HierarchicalParams {
   /// Default 0: decision-identity runs add no cycles the single-core
   /// dual-heap would not charge. Ablatable (hw::InterconnectParams).
   std::int64_t hop_cycles = 0;
-  /// Under PolicyKind::kDwcs, run PifoRepr<DwcsRank> cores instead of the
-  /// default DualHeapRepr cores. Decision-identical either way (same total
-  /// order); the knob exists so the rank-engine-inside-shards combination is
-  /// differentially testable.
-  bool pifo_cores = false;
 };
 
 [[nodiscard]] const char* to_string(ReprKind kind);

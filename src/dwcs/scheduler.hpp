@@ -1,5 +1,7 @@
-// The DWCS scheduler, plus the generic packet-scheduler interface that the
-// baseline policies (EDF, static priority, round-robin) also implement.
+// The DWCS scheduler: one stream-bookkeeping stack for every policy. The
+// baseline policies (EDF, static priority, round-robin) are this scheduler
+// under ReprKind::kPifo with another rank (Config::policy), so a baseline
+// differs from DWCS in its pick order alone.
 //
 // Lifecycle per scheduling cycle (schedule_next):
 //   1. Late-packet processing: streams whose head packet missed its deadline
@@ -38,26 +40,7 @@
 
 namespace nistream::dwcs {
 
-/// Interface shared by DWCS and the baseline policies, so experiments can
-/// swap schedulers without touching the harness.
-class PacketScheduler {
- public:
-  virtual ~PacketScheduler() = default;
-
-  virtual StreamId create_stream(const StreamParams& params, sim::Time now) = 0;
-  /// Producer side. Returns false when the stream's ring is full.
-  virtual bool enqueue(StreamId id, const FrameDescriptor& frame,
-                       sim::Time now) = 0;
-  /// One scheduling cycle at time `now`; nullopt when nothing is backlogged.
-  virtual std::optional<Dispatch> schedule_next(sim::Time now) = 0;
-
-  [[nodiscard]] virtual const StreamStats& stats(StreamId id) const = 0;
-  [[nodiscard]] virtual std::size_t backlog(StreamId id) const = 0;
-  [[nodiscard]] virtual std::size_t stream_count() const = 0;
-  [[nodiscard]] virtual const char* name() const = 0;
-};
-
-class DwcsScheduler final : public PacketScheduler, private StreamTable {
+class DwcsScheduler final : private StreamTable {
  public:
   struct Config {
     ArithMode arith = ArithMode::kFixedPoint;
@@ -108,16 +91,16 @@ class DwcsScheduler final : public PacketScheduler, private StreamTable {
     repr_->reserve(n);
   }
 
-  // PacketScheduler:
-  StreamId create_stream(const StreamParams& params, sim::Time now) override;
-  bool enqueue(StreamId id, const FrameDescriptor& frame, sim::Time now) override;
-  std::optional<Dispatch> schedule_next(sim::Time now) override;
-  [[nodiscard]] const StreamStats& stats(StreamId id) const override;
-  [[nodiscard]] std::size_t backlog(StreamId id) const override;
-  [[nodiscard]] std::size_t stream_count() const override {
-    return streams_.size();
-  }
-  [[nodiscard]] const char* name() const override { return "dwcs"; }
+  StreamId create_stream(const StreamParams& params, sim::Time now);
+  /// Producer side. Returns false when the stream's ring is full.
+  bool enqueue(StreamId id, const FrameDescriptor& frame, sim::Time now);
+  /// One scheduling cycle at time `now`; nullopt when nothing is backlogged.
+  std::optional<Dispatch> schedule_next(sim::Time now);
+  [[nodiscard]] const StreamStats& stats(StreamId id) const;
+  [[nodiscard]] std::size_t backlog(StreamId id) const;
+  [[nodiscard]] std::size_t stream_count() const { return streams_.size(); }
+  /// The rank policy's name ("dwcs", "edf", "round-robin", ...).
+  [[nodiscard]] const char* name() const { return to_string(config_.policy); }
 
   // Introspection for tests and experiments:
   [[nodiscard]] const StreamView& stream_view(StreamId id) const {

@@ -26,6 +26,7 @@
 #include <cctype>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -185,15 +186,39 @@ void for_each_line(std::string_view text, Fn&& fn) {
   return s;
 }
 
+/// Decimal digits → value; nullopt on a non-digit or on overflow.
 [[nodiscard]] inline std::optional<std::uint64_t> to_u64(std::string_view s) {
   if (s.empty()) return std::nullopt;
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
   std::uint64_t v = 0;
   for (const char c : s) {
     if (c < '0' || c > '9') return std::nullopt;
-    v = v * 10 + static_cast<std::uint64_t>(c - '0');
+    const auto d = static_cast<std::uint64_t>(c - '0');
+    if (v > (kMax - d) / 10) return std::nullopt;
+    v = v * 10 + d;
   }
   return v;
 }
+
+/// to_u64, also nullopt when the value exceeds `max`: every numeric header
+/// lands in a narrower field, and an out-of-range value is malformed, never
+/// silently truncated.
+[[nodiscard]] inline std::optional<std::uint64_t> to_u64_max(
+    std::string_view s, std::uint64_t max) {
+  const auto v = to_u64(s);
+  if (!v || *v > max) return std::nullopt;
+  return v;
+}
+
+/// Ports name EthernetSwitch port indices (hw/ethernet.hpp), not 16-bit
+/// transport ports — a large session plane attaches well over 65,536
+/// devices — so the bound is the width of the int fields they land in.
+inline constexpr std::uint64_t kMaxPort = std::numeric_limits<int>::max();
+inline constexpr std::uint64_t kMaxWindow =
+    std::numeric_limits<std::int64_t>::max();
+/// Largest X-Period-Us whose nanosecond value fits sim::Time.
+inline constexpr std::uint64_t kMaxPeriodUs =
+    std::numeric_limits<std::int64_t>::max() / 1000;
 
 /// Split "Header: value" → (name, value); nullopt when no colon.
 [[nodiscard]] inline std::optional<std::pair<std::string_view,
@@ -256,7 +281,7 @@ split_header(std::string_view line) {
       if (!v) { bad = true; return; }
       req.session_id = *v;
     } else if (name == "Reply-Port") {
-      const auto v = detail::to_u64(value);
+      const auto v = detail::to_u64_max(value, detail::kMaxPort);
       if (!v) { bad = true; return; }
       req.reply_port = static_cast<int>(*v);
     } else if (name == "Transport") {
@@ -265,25 +290,30 @@ split_header(std::string_view line) {
       const std::string_view ports = value.substr(eq + 12);
       const std::size_t dash = ports.find('-');
       if (dash == std::string_view::npos) { bad = true; return; }
-      const auto rtp = detail::to_u64(ports.substr(0, dash));
-      const auto rtcp = detail::to_u64(ports.substr(dash + 1));
+      const auto rtp = detail::to_u64_max(ports.substr(0, dash),
+                                          detail::kMaxPort);
+      const auto rtcp = detail::to_u64_max(ports.substr(dash + 1),
+                                           detail::kMaxPort);
       if (!rtp || !rtcp) { bad = true; return; }
       req.rtp_port = static_cast<int>(*rtp);
       req.rtcp_port = static_cast<int>(*rtcp);
     } else if (name == "X-Window") {
       const std::size_t slash = value.find('/');
       if (slash == std::string_view::npos) { bad = true; return; }
-      const auto x = detail::to_u64(value.substr(0, slash));
-      const auto y = detail::to_u64(value.substr(slash + 1));
+      const auto x = detail::to_u64_max(value.substr(0, slash),
+                                        detail::kMaxWindow);
+      const auto y = detail::to_u64_max(value.substr(slash + 1),
+                                        detail::kMaxWindow);
       if (!x || !y || *x > *y || *y == 0) { bad = true; return; }
       req.tolerance = dwcs::WindowConstraint{static_cast<std::int64_t>(*x),
                                              static_cast<std::int64_t>(*y)};
     } else if (name == "X-Period-Us") {
-      const auto v = detail::to_u64(value);
+      const auto v = detail::to_u64_max(value, detail::kMaxPeriodUs);
       if (!v || *v == 0) { bad = true; return; }
-      req.period = sim::Time::us(static_cast<std::int64_t>(*v));
+      req.period = sim::Time::ns(static_cast<std::int64_t>(*v) * 1000);
     } else if (name == "X-Frame-Bytes") {
-      const auto v = detail::to_u64(value);
+      const auto v = detail::to_u64_max(
+          value, std::numeric_limits<std::uint32_t>::max());
       if (!v || *v == 0) { bad = true; return; }
       req.frame_bytes = static_cast<std::uint32_t>(*v);
     } else if (name == "X-Frames") {
@@ -311,9 +341,8 @@ split_header(std::string_view line) {
       if (!line.starts_with("RTSP/1.0 ")) { bad = true; return; }
       const std::string_view rest = line.substr(9);
       const std::size_t sp = rest.find(' ');
-      const auto status =
-          detail::to_u64(sp == std::string_view::npos ? rest
-                                                      : rest.substr(0, sp));
+      const auto status = detail::to_u64_max(
+          sp == std::string_view::npos ? rest : rest.substr(0, sp), 999);
       if (!status) { bad = true; return; }
       resp.status = static_cast<int>(*status);
       return;
@@ -331,7 +360,8 @@ split_header(std::string_view line) {
       if (!v) { bad = true; return; }
       resp.session_id = *v;
     } else if (name == "X-Stream") {
-      const auto v = detail::to_u64(value);
+      const auto v = detail::to_u64_max(
+          value, std::numeric_limits<dwcs::StreamId>::max());
       if (!v) { bad = true; return; }
       resp.stream = static_cast<dwcs::StreamId>(*v);
       resp.has_stream = true;
@@ -350,7 +380,7 @@ split_header(std::string_view line) {
   detail::for_each_line(text, [&](std::string_view line) {
     const auto header = detail::split_header(line);
     if (!header || header->first != "Reply-Port") return;
-    if (const auto v = detail::to_u64(header->second)) {
+    if (const auto v = detail::to_u64_max(header->second, detail::kMaxPort)) {
       port = static_cast<int>(*v);
     }
   });

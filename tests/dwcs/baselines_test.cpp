@@ -1,8 +1,7 @@
 // Tests for the EDF / static-priority / round-robin baselines, and the
 // head-to-head property that motivates DWCS: under overload, DWCS respects
-// window constraints that the baselines break.
-#include "dwcs/baselines.hpp"
-
+// window constraints that the baselines break. Every baseline is the one
+// DwcsScheduler running the PIFO engine under another rank policy.
 #include <gtest/gtest.h>
 
 #include "dwcs/monitor.hpp"
@@ -13,6 +12,13 @@ namespace {
 
 using sim::Time;
 
+DwcsScheduler baseline(PolicyKind policy) {
+  DwcsScheduler::Config cfg;
+  cfg.repr = ReprKind::kPifo;
+  cfg.policy = policy;
+  return DwcsScheduler{cfg};
+}
+
 FrameDescriptor frame(std::uint64_t id, Time at) {
   return FrameDescriptor{.frame_id = id, .bytes = 1000,
                          .type = mpeg::FrameType::kP, .enqueued_at = at,
@@ -20,7 +26,7 @@ FrameDescriptor frame(std::uint64_t id, Time at) {
 }
 
 TEST(Edf, PicksEarliestDeadline) {
-  EdfScheduler s;
+  auto s = baseline(PolicyKind::kEdf);
   const auto slow = s.create_stream({.tolerance = {1, 2}, .period = Time::ms(50)},
                                     Time::zero());
   const auto fast = s.create_stream({.tolerance = {1, 2}, .period = Time::ms(10)},
@@ -33,7 +39,7 @@ TEST(Edf, PicksEarliestDeadline) {
 }
 
 TEST(Edf, DropsLateLossyPackets) {
-  EdfScheduler s;
+  auto s = baseline(PolicyKind::kEdf);
   const auto id = s.create_stream(
       {.tolerance = {1, 2}, .period = Time::ms(10), .lossy = true},
       Time::zero());
@@ -43,7 +49,7 @@ TEST(Edf, DropsLateLossyPackets) {
 }
 
 TEST(StaticPriority, LowestIdWins) {
-  StaticPriorityScheduler s;
+  auto s = baseline(PolicyKind::kStaticPriority);
   const auto hi = s.create_stream({.tolerance = {1, 2}, .period = Time::ms(50)},
                                   Time::zero());
   const auto lo = s.create_stream({.tolerance = {1, 2}, .period = Time::ms(5)},
@@ -56,7 +62,7 @@ TEST(StaticPriority, LowestIdWins) {
 }
 
 TEST(RoundRobin, CyclesThroughBackloggedStreams) {
-  RoundRobinScheduler s;
+  auto s = baseline(PolicyKind::kRoundRobin);
   std::vector<StreamId> ids;
   for (int i = 0; i < 3; ++i) {
     ids.push_back(s.create_stream(
@@ -77,7 +83,7 @@ TEST(RoundRobin, CyclesThroughBackloggedStreams) {
 }
 
 TEST(RoundRobin, SkipsEmptyStreams) {
-  RoundRobinScheduler s;
+  auto s = baseline(PolicyKind::kRoundRobin);
   const auto a = s.create_stream({.tolerance = {1, 2}, .period = Time::sec(10)},
                                  Time::zero());
   const auto b = s.create_stream({.tolerance = {1, 2}, .period = Time::sec(10)},
@@ -102,7 +108,7 @@ TEST(RoundRobin, SkipsEmptyStreams) {
 // round-robin are attribute-blind and starve the tight stream of its
 // 62.5 pps, breaking its window constraint continuously.
 std::pair<std::uint64_t, std::uint64_t> overload_violations(
-    PacketScheduler& s) {
+    DwcsScheduler& s) {
   WindowViolationMonitor monitor;
   const WindowConstraint tight{3, 8}, loose{7, 8};
   // The loose stream gets the lower id so EDF's id tie-break cannot
@@ -149,8 +155,8 @@ std::pair<std::uint64_t, std::uint64_t> overload_violations(
 
 TEST(PolicyComparison, DwcsProtectsTightStreamUnderOverload) {
   DwcsScheduler dwcs{DwcsScheduler::Config{}};
-  EdfScheduler edf;
-  RoundRobinScheduler rr;
+  auto edf = baseline(PolicyKind::kEdf);
+  auto rr = baseline(PolicyKind::kRoundRobin);
   const auto [dwcs_tight, dwcs_loose] = overload_violations(dwcs);
   const auto [edf_tight, edf_loose] = overload_violations(edf);
   const auto [rr_tight, rr_loose] = overload_violations(rr);
@@ -166,9 +172,9 @@ TEST(PolicyComparison, DwcsProtectsTightStreamUnderOverload) {
 
 TEST(PolicyComparison, SchedulerNames) {
   EXPECT_STREQ(DwcsScheduler{DwcsScheduler::Config{}}.name(), "dwcs");
-  EXPECT_STREQ(EdfScheduler{}.name(), "edf");
-  EXPECT_STREQ(StaticPriorityScheduler{}.name(), "static-priority");
-  EXPECT_STREQ(RoundRobinScheduler{}.name(), "round-robin");
+  EXPECT_STREQ(baseline(PolicyKind::kEdf).name(), "edf");
+  EXPECT_STREQ(baseline(PolicyKind::kStaticPriority).name(), "static-priority");
+  EXPECT_STREQ(baseline(PolicyKind::kRoundRobin).name(), "round-robin");
 }
 
 }  // namespace

@@ -146,8 +146,10 @@ TEST(CostInvariance, Table3HardwareQueueDualHeap) {
                 {2408, 0, 6861, 2098, 619100, 0x400e737594fd53a0ULL});
 }
 
-TEST(CostInvariance, SingleHeapFixedPoint) {
-  expect_totals(run_core_loop(ArithMode::kFixedPoint, ReprKind::kSingleHeap,
+// The DWCS-ranked PIFO engine: one rank heap plus the deadline heap, the
+// charge stream of the historical single-heap representation.
+TEST(CostInvariance, PifoDwcsFixedPoint) {
+  expect_totals(run_core_loop(ArithMode::kFixedPoint, ReprKind::kPifo,
                               DescriptorResidency::kPinnedMemory),
                 {2307, 0, 8924, 0, 619100, 0xc6952ce3cc0b93c0ULL});
 }
@@ -179,9 +181,9 @@ TEST(CostInvariance, DISABLED_PrintGoldens) {
   p("fixed/dual/hwq", run_core_loop(ArithMode::kFixedPoint,
                                     ReprKind::kDualHeap,
                                     DescriptorResidency::kHardwareQueue));
-  p("fixed/single/pinned", run_core_loop(ArithMode::kFixedPoint,
-                                         ReprKind::kSingleHeap,
-                                         DescriptorResidency::kPinnedMemory));
+  p("fixed/pifo/pinned", run_core_loop(ArithMode::kFixedPoint,
+                                       ReprKind::kPifo,
+                                       DescriptorResidency::kPinnedMemory));
   p("fixed/calendar/pinned",
     run_core_loop(ArithMode::kFixedPoint, ReprKind::kCalendarQueue,
                   DescriptorResidency::kPinnedMemory));

@@ -108,6 +108,8 @@ int run_lockstep(std::uint32_t shards, std::uint64_t seed) {
 
   sim::Rng rng{seed};
   std::vector<bool> present;
+  // Each stream's original window, for rule (A)'s reset on dispatch.
+  std::vector<WindowConstraint> originals;
   Time now = Time::zero();
   const auto insert = [&](StreamId id) {
     reference.insert(id);
@@ -117,6 +119,7 @@ int run_lockstep(std::uint32_t shards, std::uint64_t seed) {
 
   for (int i = 0; i < 32; ++i) {
     const auto id = table.add(random_view(rng, now));
+    originals.push_back(table.mutable_view(id).current);
     present.push_back(false);
     insert(id);
   }
@@ -127,6 +130,7 @@ int run_lockstep(std::uint32_t shards, std::uint64_t seed) {
     const auto op = rng.below(10);
     if (op == 0 && table.size() < 96) {
       const auto id = table.add(random_view(rng, now));
+      originals.push_back(table.mutable_view(id).current);
       present.push_back(false);
       insert(id);
     } else if (op == 1) {
@@ -137,6 +141,7 @@ int run_lockstep(std::uint32_t shards, std::uint64_t seed) {
         present[id] = false;
       } else {
         table.mutable_view(id) = random_view(rng, now);
+        originals[id] = table.mutable_view(id).current;
         insert(id);
       }
     }
@@ -153,6 +158,7 @@ int run_lockstep(std::uint32_t shards, std::uint64_t seed) {
     // update both reprs — the scheduler's own mutation pattern.
     auto& v = table.mutable_view(*p_ref);
     if (v.current.y > v.current.x) --v.current.y;
+    if (v.current.y == v.current.x) v.current = originals[*p_ref];
     v.next_deadline +=
         Time::ms(10 * (1 + static_cast<double>(rng.below(4))));
     reference.update(*p_ref);
@@ -219,13 +225,19 @@ std::int64_t charged_cycles(std::uint32_t shards, std::int64_t hop_cycles) {
                                              .hop_cycles = hop_cycles}};
   sim::Rng rng{17};
   Time now = Time::zero();
-  for (int i = 0; i < 64; ++i) h.insert(table.add(random_view(rng, now)));
+  std::vector<WindowConstraint> originals;
+  for (int i = 0; i < 64; ++i) {
+    const auto id = table.add(random_view(rng, now));
+    originals.push_back(table.mutable_view(id).current);
+    h.insert(id);
+  }
   for (int round = 0; round < 200; ++round) {
     now += Time::ms(2);
     const auto p = h.pick();
     if (!p) break;
     auto& v = table.mutable_view(*p);
     if (v.current.y > v.current.x) --v.current.y;
+    if (v.current.y == v.current.x) v.current = originals[*p];
     v.next_deadline += Time::ms(10 * (1 + static_cast<double>(rng.below(4))));
     h.update(*p);
   }

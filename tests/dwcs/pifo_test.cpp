@@ -1,14 +1,15 @@
 // PIFO rank engine contract tests.
 //
 // The load-bearing property is DECISION IDENTITY for the DWCS rank:
-// PifoRepr<DwcsRank> ranks by the same rule-1..5 total order as
-// DualHeapRepr's full-order shadow heap, so both must pick() the identical
-// stream on every round — flat, and with PIFO engines as the per-core
-// representation inside the hierarchical sharding layer at every shard
-// count. The WFQ rank is stateful (virtual finish tags), so its tests
-// assert the fair-queueing contract instead: service counts converge to
-// weight-proportional shares, and an idle flow rejoins at the clock with
-// no banked catch-up burst.
+// PifoRepr<DwcsRank> keeps the rule-1..5 total order in one heap, and
+// DualHeapRepr — the Figure 4(a) deadline + tolerance heaps with their tie
+// scan — must pick() the identical stream on every round, flat and with
+// PIFO engines as the per-core representation inside the hierarchical
+// sharding layer at every shard count. The WFQ rank is stateful (virtual
+// finish tags), so its tests assert the fair-queueing contract instead:
+// service counts converge to weight-proportional shares, and an idle flow
+// rejoins at the clock with no banked catch-up burst. The round-robin rank
+// is held to a cursor-scan oracle.
 #include "dwcs/pifo.hpp"
 
 #include <gtest/gtest.h>
@@ -67,6 +68,8 @@ int run_lockstep(FakeTable& table, ScheduleRepr& reference,
                  const char* label) {
   sim::Rng rng{seed};
   std::vector<bool> present;
+  // Each stream's original window, for rule (A)'s reset on dispatch.
+  std::vector<WindowConstraint> originals;
   Time now = Time::zero();
   const auto insert = [&](StreamId id) {
     reference.insert(id);
@@ -76,6 +79,7 @@ int run_lockstep(FakeTable& table, ScheduleRepr& reference,
 
   for (int i = 0; i < 32; ++i) {
     const auto id = table.add(random_view(rng, now));
+    originals.push_back(table.mutable_view(id).current);
     present.push_back(false);
     insert(id);
   }
@@ -86,6 +90,7 @@ int run_lockstep(FakeTable& table, ScheduleRepr& reference,
     const auto op = rng.below(10);
     if (op == 0 && table.size() < 96) {
       const auto id = table.add(random_view(rng, now));
+      originals.push_back(table.mutable_view(id).current);
       present.push_back(false);
       insert(id);
     } else if (op == 1) {
@@ -96,6 +101,7 @@ int run_lockstep(FakeTable& table, ScheduleRepr& reference,
         present[id] = false;
       } else {
         table.mutable_view(id) = random_view(rng, now);
+        originals[id] = table.mutable_view(id).current;
         insert(id);
       }
     }
@@ -114,6 +120,7 @@ int run_lockstep(FakeTable& table, ScheduleRepr& reference,
     candidate.on_charge(*p_ref);
     auto& v = table.mutable_view(*p_ref);
     if (v.current.y > v.current.x) --v.current.y;
+    if (v.current.y == v.current.x) v.current = originals[*p_ref];
     v.next_deadline += Time::ms(10 * (1 + static_cast<double>(rng.below(4))));
     reference.update(*p_ref);
     candidate.update(*p_ref);
@@ -137,9 +144,9 @@ TEST(PifoIdentity, DwcsRankMatchesDualHeap) {
 }
 
 TEST(PifoIdentity, HierarchicalPifoCoresMatchDualHeap) {
-  // The sharding layer over PIFO cores (params.pifo_cores) must still be
-  // decision-identical to one flat dual heap: same total order per core,
-  // same root arbiter, any shard count.
+  // The sharding layer over PIFO cores (what an uncharged DWCS run builds)
+  // must still be decision-identical to one flat dual heap: same total
+  // order per core, same root arbiter, any shard count.
   for (const std::uint32_t shards : {1u, 4u, 16u}) {
     for (const std::uint64_t seed : {7u, 99u, 1234u}) {
       FakeTable table;
@@ -147,12 +154,32 @@ TEST(PifoIdentity, HierarchicalPifoCoresMatchDualHeap) {
       DualHeapRepr reference{table, cmp, null_cost_hook(), 0x0100'0000};
       HierarchicalScheduler sharded{
           table, cmp, null_cost_hook(), 0x0200'0000,
-          HierarchicalParams{.shards = shards, .pifo_cores = true}};
+          HierarchicalParams{.shards = shards}};
       EXPECT_EQ(sharded.shards(), shards);
       EXPECT_GT(run_lockstep(table, reference, sharded, seed, "sharded"),
                 1000)
           << "shards " << shards << " seed " << seed;
     }
+  }
+}
+
+TEST(DualHeapEngine, FollowsTheHook) {
+  // kDualHeap is the modeled two-heap structure on an accounted hook and the
+  // PIFO engine on the null hook, under one name, with identical decisions.
+  for (const std::uint64_t seed : {7u, 99u, 1234u}) {
+    FakeTable table;
+    Comparator cmp{ArithMode::kFixedPoint, null_cost_hook()};
+    CostHook discard;  // accounted; every charge is dropped
+    const auto modeled =
+        make_repr(ReprKind::kDualHeap, table, cmp, discard, 0x0100'0000);
+    const auto fast = make_repr(ReprKind::kDualHeap, table, cmp,
+                                null_cost_hook(), 0x0200'0000);
+    EXPECT_NE(dynamic_cast<DualHeapRepr*>(modeled.get()), nullptr);
+    EXPECT_NE(dynamic_cast<PifoRepr<DwcsRank>*>(fast.get()), nullptr);
+    EXPECT_STREQ(modeled->name(), "dual-heap");
+    EXPECT_STREQ(fast->name(), "dual-heap");
+    EXPECT_GT(run_lockstep(table, *modeled, *fast, seed, "engines"), 1000)
+        << "seed " << seed;
   }
 }
 
@@ -210,7 +237,107 @@ TEST(PolicyKindNames, Stable) {
   EXPECT_STREQ(to_string(PolicyKind::kStaticPriority), "static-priority");
   EXPECT_STREQ(to_string(PolicyKind::kWfq), "wfq");
   EXPECT_STREQ(to_string(PolicyKind::kTenantDwcs), "tenant-dwcs");
+  EXPECT_STREQ(to_string(PolicyKind::kRoundRobin), "round-robin");
   EXPECT_STREQ(to_string(ReprKind::kPifo), "pifo");
+}
+
+// ---------------------------------------------------------------------------
+// Round-robin rank vs a cursor scan.
+// ---------------------------------------------------------------------------
+
+/// The classic round-robin: scan from one past the last-served stream for
+/// the first backlogged one, wrapping around the fixed population.
+struct CursorScan {
+  const std::vector<bool>* backlogged;
+  StreamId cursor = 0;
+  std::optional<StreamId> serve() {
+    const auto n = static_cast<StreamId>(backlogged->size());
+    for (StreamId k = 0; k < n; ++k) {
+      const StreamId i = (cursor + k) % n;
+      if ((*backlogged)[i]) {
+        cursor = (i + 1) % n;
+        return i;
+      }
+    }
+    return std::nullopt;
+  }
+};
+
+/// Seeded join/leave/serve script over a fixed population of 16 streams:
+/// `repr`, built over `table`, must serve exactly what the cursor scan
+/// serves at every step. Returns the number of services.
+int run_rr_script(FakeTable& table, ScheduleRepr& repr, std::uint64_t seed) {
+  constexpr StreamId kStreams = 16;
+  StreamView v;
+  v.current = {1, 4};
+  v.next_deadline = Time::ms(10);
+  while (table.size() < kStreams) (void)table.add(v);
+  std::vector<bool> backlogged(kStreams, false);
+  CursorScan oracle{&backlogged};
+  sim::Rng rng{seed};
+  int served = 0;
+  for (int step = 0; step < 4000; ++step) {
+    const auto id = static_cast<StreamId>(rng.below(kStreams));
+    const auto op = rng.below(4);
+    if (op == 0 && !backlogged[id]) {
+      repr.insert(id);
+      backlogged[id] = true;
+    } else if (op == 1 && backlogged[id]) {
+      repr.remove(id);
+      backlogged[id] = false;
+    } else if (op >= 2) {
+      const auto want = oracle.serve();
+      const auto got = repr.pick();
+      if (got != want) {
+        ADD_FAILURE() << "seed " << seed << " step " << step << ": served "
+                      << (got ? static_cast<long>(*got) : -1L)
+                      << ", cursor scan serves "
+                      << (want ? static_cast<long>(*want) : -1L);
+        return served;
+      }
+      if (!got) continue;
+      repr.on_charge(*got);
+      if (rng.below(4) == 0) {  // the served head was its last frame
+        repr.remove(*got);
+        backlogged[*got] = false;
+      } else {
+        repr.update(*got);
+      }
+      ++served;
+    }
+  }
+  return served;
+}
+
+TEST(RoundRobinRank, FlatMatchesCursorScan) {
+  for (const std::uint64_t seed : {7u, 99u, 1234u}) {
+    FakeTable table;
+    Comparator cmp{ArithMode::kFixedPoint, null_cost_hook()};
+    const auto repr = make_repr(ReprKind::kPifo, table, cmp, null_cost_hook(),
+                                0x0100'0000, {}, PolicyKind::kRoundRobin);
+    EXPECT_STREQ(repr->name(), "pifo-rr");
+    EXPECT_GT(run_rr_script(table, *repr, seed), 1000) << "seed " << seed;
+  }
+}
+
+TEST(RoundRobinRank, HierarchicalMatchesCursorScan) {
+  // Every core advances one shared last-served ledger, and the root orders
+  // shard winners by the same (round, id) key. Both hooks: the uncharged
+  // root is repaired lazily, the charged one eagerly.
+  CostHook discard;
+  for (CostHook* hook : {&null_cost_hook(), &discard}) {
+    for (const std::uint32_t shards : {1u, 4u}) {
+      for (const std::uint64_t seed : {7u, 99u, 1234u}) {
+        FakeTable table;
+        Comparator cmp{ArithMode::kFixedPoint, null_cost_hook()};
+        HierarchicalScheduler sharded{table, cmp, *hook, 0x0100'0000,
+                                      HierarchicalParams{.shards = shards},
+                                      PolicyKind::kRoundRobin};
+        EXPECT_GT(run_rr_script(table, sharded, seed), 1000)
+            << "shards " << shards << " seed " << seed;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -6,10 +6,14 @@
 // the PIFO rank engine under the DWCS rank and the hierarchical (sharded)
 // representation at 1 shard (the degenerate case that must collapse to
 // dual-heap behavior) and 3 shards (odd count, so the splitmix64 shard hash
-// is exercised off the power-of-two path). Every round:
+// is exercised off the power-of-two path). The dual heap and one copy of
+// each hierarchical configuration run on an accounted hook that discards
+// its charges, so they are the modeled Figure 4(a) structures (on the null
+// hook kDualHeap is the PIFO engine); the other hierarchical copy runs
+// uncharged, on PIFO cores with the lazily repaired root. Every round:
 //   * pick() must return the identical stream across all attribute-aware
-//     representations (dual-heap, single-heap, sorted-list, calendar-queue,
-//     pifo, hierarchical x shards) — they are interchangeable structures
+//     representations (dual-heap, sorted-list, calendar-queue, pifo,
+//     hierarchical x shards x hook) — they are interchangeable structures
 //     under one policy (§3.1.1), so the dispatched stream sequence must be
 //     identical;
 //   * earliest_deadline() must agree across ALL representations,
@@ -49,22 +53,26 @@ class FakeTable final : public StreamTable {
 struct Harness {
   FakeTable table;
   Comparator cmp{ArithMode::kFixedPoint, null_cost_hook()};
+  CostHook discard;  // accounted: selects the modeled dual heap
   std::vector<std::unique_ptr<ScheduleRepr>> reprs;
   std::vector<bool> present;
 
   // FCFS is deliberately LAST: every repr before it is attribute-aware and
   // must agree on pick(); FCFS only joins the earliest_deadline() check.
   Harness() {
+    reprs.push_back(
+        make_repr(ReprKind::kDualHeap, table, cmp, discard, 0x0100'0000));
     for (const auto kind :
-         {ReprKind::kDualHeap, ReprKind::kSingleHeap, ReprKind::kSortedList,
-          ReprKind::kCalendarQueue, ReprKind::kPifo}) {
+         {ReprKind::kSortedList, ReprKind::kCalendarQueue, ReprKind::kPifo}) {
       reprs.push_back(
           make_repr(kind, table, cmp, null_cost_hook(), 0x0100'0000));
     }
     for (const std::uint32_t shards : {1u, 3u}) {
-      reprs.push_back(make_repr(ReprKind::kHierarchical, table, cmp,
-                                null_cost_hook(), 0x0100'0000,
-                                HierarchicalParams{.shards = shards}));
+      for (CostHook* hook : {&null_cost_hook(), &discard}) {
+        reprs.push_back(make_repr(ReprKind::kHierarchical, table, cmp, *hook,
+                                  0x0100'0000,
+                                  HierarchicalParams{.shards = shards}));
+      }
     }
     reprs.push_back(
         make_repr(ReprKind::kFcfs, table, cmp, null_cost_hook(), 0x0100'0000));

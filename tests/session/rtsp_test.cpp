@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 namespace nistream::session {
 namespace {
@@ -91,6 +92,70 @@ TEST(RtspMessage, MalformedRequestsRejected) {
   EXPECT_FALSE(parse_request("SETUP rtsp://x RTSP/1.0\r\nCSeq: 1\r\n"
                              "X-Period-Us: 0\r\n")
                    .has_value());
+}
+
+TEST(RtspMessage, NumericHeadersRejectOutOfRangeValues) {
+  // One row per numeric request header: the largest value its field holds
+  // parses, anything larger is malformed (400), never wrapped or truncated.
+  struct Row {
+    const char* accepted;
+    std::vector<const char*> rejected;
+  };
+  const Row rows[] = {
+      {"CSeq: 18446744073709551615", {"CSeq: 18446744073709551616"}},
+      // Ports are switch port indices held in an int (see kMaxPort).
+      {"Reply-Port: 2147483647",
+       {"Reply-Port: 2147483648", "Reply-Port: 4294975296"}},
+      {"Transport: RTP/AVP;unicast;client_port=2147483646-2147483647",
+       {"Transport: RTP/AVP;unicast;client_port=4294967297-4294967298",
+        "Transport: RTP/AVP;unicast;client_port=5000-2147483648"}},
+      {"X-Window: 9223372036854775807/9223372036854775807",
+       {"X-Window: 1/9223372036854775808",
+        "X-Window: 9223372036854775808/9223372036854775808"}},
+      {"X-Period-Us: 9223372036854775",
+       {"X-Period-Us: 9223372036854776",
+        "X-Period-Us: 18446744073709551615"}},
+      {"X-Frame-Bytes: 4294967295", {"X-Frame-Bytes: 4294967296"}},
+      {"X-Frames: 18446744073709551615", {"X-Frames: 18446744073709551616"}},
+  };
+  const auto request = [](const char* header) {
+    return std::string{"SETUP rtsp://x RTSP/1.0\r\n"} + header +
+           "\r\nCSeq: 1\r\n";
+  };
+  for (const auto& row : rows) {
+    EXPECT_TRUE(parse_request(request(row.accepted)).has_value())
+        << row.accepted;
+    for (const char* bad : row.rejected) {
+      EXPECT_FALSE(parse_request(request(bad)).has_value()) << bad;
+    }
+  }
+
+  // Accepted extremes land in their fields exactly.
+  const auto setup = parse_request(
+      "SETUP rtsp://x RTSP/1.0\r\nCSeq: 1\r\nReply-Port: 2147483647\r\n"
+      "X-Period-Us: 9223372036854775\r\nX-Frame-Bytes: 4294967295\r\n");
+  ASSERT_TRUE(setup.has_value());
+  EXPECT_EQ(setup->reply_port, 2147483647);
+  EXPECT_EQ(setup->period, sim::Time::ns(9'223'372'036'854'775'000));
+  EXPECT_EQ(setup->frame_bytes, 4294967295u);
+
+  // Responses too: a status has three digits, X-Stream fits a StreamId.
+  EXPECT_TRUE(parse_response("RTSP/1.0 200 OK\r\nCSeq: 1\r\n"
+                             "X-Stream: 4294967295\r\n")
+                  .has_value());
+  EXPECT_FALSE(parse_response("RTSP/1.0 200 OK\r\nCSeq: 1\r\n"
+                              "X-Stream: 4294967296\r\n")
+                   .has_value());
+  EXPECT_FALSE(
+      parse_response("RTSP/1.0 4294967496 OK\r\nCSeq: 1\r\n").has_value());
+
+  // The 400 path's best-effort port lookup applies the same bound.
+  EXPECT_EQ(find_reply_port("junk\r\nReply-Port: 2147483647\r\n"),
+            std::optional<int>{2147483647});
+  EXPECT_FALSE(
+      find_reply_port("junk\r\nReply-Port: 2147483648\r\n").has_value());
+  EXPECT_FALSE(
+      find_reply_port("junk\r\nReply-Port: 4294975296\r\n").has_value());
 }
 
 TEST(RtspMessage, UnknownHeadersIgnored) {
