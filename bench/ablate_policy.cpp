@@ -26,9 +26,13 @@
 // and drop identically at every slot ("dual_heap_identical" in the JSON;
 // any mismatch fails the run). The shadow runs on an accounted hook that
 // discards its charges, so it is the modeled Figure 4(a) dual heap with its
-// tie scan — an uncharged kDualHeap would be the PIFO engine again. Output:
-// stdout table + schema-versioned JSON (default BENCH_policy.json) with
-// `--seed`, `--out`, `--jobs`.
+// tie scan — an uncharged kDualHeap would be the PIFO engine again. Two
+// streams never reach that scan, though: it decides a pick only when the
+// tolerance-heap top sits past the minimum deadline while two or more
+// streams tie at it. So one more, unscored cross-check runs six lossy
+// streams on one period through the same lock-step ("scan_cross_check" in
+// the JSON). Output: stdout table + schema-versioned JSON (default
+// BENCH_policy.json) with `--seed`, `--out`, `--jobs`.
 #include <array>
 #include <cstdint>
 #include <cstdio>
@@ -203,8 +207,68 @@ Cell run_cell(dwcs::PolicyKind policy, unsigned load_pct, std::uint64_t seed) {
   return c;
 }
 
-bool write_json(const std::vector<Cell>& cells, const std::string& path,
-                std::uint64_t seed, unsigned jobs) {
+// The tie-scan cross-check's streams, most tolerant first, so the lowest id
+// at a deadline tie (the deadline-heap top) is rarely the tolerance winner.
+constexpr std::array<dwcs::WindowConstraint, 6> kScanTolerances{
+    {{7, 8}, {3, 4}, {5, 8}, {1, 2}, {3, 8}, {1, 4}}};
+
+struct ScanCheck {
+  std::uint64_t decisions = 0;
+  bool dual_heap_identical = true;
+};
+
+/// PIFO-DWCS vs the dual-heap shadow, unscored, on a workload where the
+/// shadow's tie scan decides picks: six lossy streams share the slot
+/// period, and the gate serves three to five of them per slot, so each slot
+/// leaves streams tied at the minimum deadline while a just-served stream
+/// can hold the tolerance-heap top one period later. (With seed 42 the scan
+/// runs on about 15k of the 24k picks and overrides the deadline-heap top
+/// on about 14k.)
+ScanCheck run_scan_check(std::uint64_t seed) {
+  ScanCheck c;
+  dwcs::CostHook discard;  // accounted: selects the modeled dual heap
+  auto sched = make_sched(dwcs::ReprKind::kPifo, dwcs::PolicyKind::kDwcs);
+  auto shadow = make_sched(dwcs::ReprKind::kDualHeap, dwcs::PolicyKind::kDwcs,
+                           discard);
+  for (auto* s : {sched.get(), shadow.get()}) {
+    for (const auto& tol : kScanTolerances) {
+      (void)s->create_stream(
+          {.tolerance = tol, .period = Time::ms(kSlotMs), .lossy = true},
+          Time::zero());
+    }
+  }
+  std::uint64_t fid = 0;
+  for (int t = 0; t < kHorizonMs; t += kSlotMs) {
+    const Time now = Time::ms(t);
+    for (dwcs::StreamId id = 0; id < kScanTolerances.size(); ++id) {
+      const dwcs::FrameDescriptor f{.frame_id = fid++, .bytes = 1000,
+                                    .type = mpeg::FrameType::kP,
+                                    .enqueued_at = now};
+      const bool ok = sched->enqueue(id, f, now);
+      const bool sok = shadow->enqueue(id, f, now);
+      c.dual_heap_identical = c.dual_heap_identical && ok == sok;
+    }
+    const std::uint64_t services =
+        3 + (static_cast<std::uint64_t>(t / kSlotMs) + seed) % 3;
+    for (std::uint64_t k = 0; k < services; ++k) {
+      const auto d = sched->schedule_next(now);
+      const auto ds = shadow->schedule_next(now);
+      c.decisions += d.has_value();
+      c.dual_heap_identical = c.dual_heap_identical &&
+                              d.has_value() == ds.has_value() &&
+                              (!d || d->stream == ds->stream);
+    }
+    for (dwcs::StreamId id = 0; id < kScanTolerances.size(); ++id) {
+      c.dual_heap_identical =
+          c.dual_heap_identical &&
+          shadow->stats(id).dropped == sched->stats(id).dropped;
+    }
+  }
+  return c;
+}
+
+bool write_json(const std::vector<Cell>& cells, const ScanCheck& scan,
+                const std::string& path, std::uint64_t seed, unsigned jobs) {
   std::ofstream out{path};
   if (!out) {
     std::printf("could not write %s\n", path.c_str());
@@ -251,7 +315,10 @@ bool write_json(const std::vector<Cell>& cells, const std::string& path,
         << "\"aggregate_violation_rate\": " << agg << "}"
         << (i + 1 < cells.size() ? ",\n" : "\n");
   }
-  out << "  ]\n}\n";
+  out << "  ],\n  \"scan_cross_check\": {\"streams\": "
+      << kScanTolerances.size() << ", \"decisions\": " << scan.decisions
+      << ", \"dual_heap_identical\": "
+      << (scan.dual_heap_identical ? "true" : "false") << "}\n}\n";
   std::printf("wrote %s\n", path.c_str());
   return true;
 }
@@ -273,6 +340,7 @@ int main(int argc, char** argv) {
     cells[i] = run_cell(policies[i / loads.size()], loads[i % loads.size()],
                         seed);
   });
+  const ScanCheck scan = run_scan_check(seed);
 
   bench::header("Ablation: rank policy under load (one PIFO engine)");
   std::printf("  %-16s %6s %12s %12s %11s %11s %10s\n", "policy", "load%",
@@ -293,8 +361,13 @@ int main(int argc, char** argv) {
   bench::note("Every cell is the same scheduler core; only the rank function");
   bench::note("differs. DWCS sheds losses by tolerance, so the tight stream's");
   bench::note("windows survive overload that breaks them under EDF/SP.");
+  std::printf("  tie-scan cross-check (%zu streams, %llu decisions): %s\n",
+              kScanTolerances.size(),
+              static_cast<unsigned long long>(scan.decisions),
+              scan.dual_heap_identical ? "ok" : "MISMATCH");
+  ok = ok && scan.dual_heap_identical;
 
-  if (!write_json(cells, out, seed, jobs)) return 1;
+  if (!write_json(cells, scan, out, seed, jobs)) return 1;
   if (!ok) {
     std::printf("PIFO-DWCS vs dual-heap DECISION MISMATCH\n");
     return 1;

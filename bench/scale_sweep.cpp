@@ -7,11 +7,7 @@
 // This bench measures the HOST clock, not the simulated i960 clock: the
 // scheduler runs with the null cost hook, so no cycles are charged and the
 // numbers are pure data-structure throughput (see docs/performance.md for
-// the two-clock model). Hierarchical cells additionally run a SIMULATED-clock
-// pass (`sim_decisions_per_s`, `num_cores` in the JSON): the same decision
-// stream replayed as parallel work on an N-core WindKernel — one rtos:: task
-// per shard plus a root-arbiter task (dwcs/parallel.hpp) — so the multi-core
-// NI's parallel mutation capacity is a measured number, not an assertion. The workload mirrors the paper's testbed shape —
+// the two-clock model). The workload mirrors the paper's testbed shape —
 // mostly-peer streams with a shared period, so deadline ties are the common
 // case and the tie-break path dominates.
 //
@@ -47,9 +43,9 @@
 //
 // `--identity` switches to the CI decision-identity contract instead of a
 // timed sweep: dual-heap, the PIFO rank engine (DWCS rank), hierarchical
-// (each `--shards` value), and the simulated-parallel execution mode
-// (hierarchical-par, each `--shards` value) each take the SAME fixed number
-// of decisions at
+// (each `--shards` value) uncharged, and hierarchical again (each `--shards`
+// value) on the accounted hook the dual-heap row uses, so its cores are the
+// modeled dual heaps, each take the SAME fixed number of decisions at
 // `--streams=N` (default 100k) from identically seeded workloads, and the
 // binary exits non-zero unless every row dispatched the exact same stream
 // sequence (count + FNV hash) as the dual-heap reference. This is the
@@ -72,12 +68,8 @@
 #include "apps/producer.hpp"
 #include "bench_util.hpp"
 #include "cli.hpp"
-#include "dwcs/hierarchical.hpp"
-#include "dwcs/parallel.hpp"
 #include "dwcs/scheduler.hpp"
-#include "dwcs/shard_exec.hpp"
 #include "hostos/filesystem.hpp"
-#include "hw/nic_board.hpp"
 #include "ingress/flow_table.hpp"
 #include "mpeg/frame.hpp"
 #include "runner.hpp"
@@ -99,13 +91,6 @@ struct SweepResult {
   double decisions_per_sec = 0;
   double p50_ns = 0;
   double p99_ns = 0;
-  // Simulated-parallel pass (hierarchical cells only; num_cores == 0 means
-  // the pass did not run): decisions/s on the SIMULATED clock with one
-  // rtos:: task per shard on an N-core WindKernel.
-  std::uint32_t num_cores = 0;
-  std::uint64_t sim_decisions = 0;
-  double sim_elapsed_sec = 0;
-  double sim_decisions_per_s = 0;
 };
 
 double elapsed_sec(Clock::time_point t0) {
@@ -164,99 +149,10 @@ bool step(dwcs::DwcsScheduler& sched, sim::Time& now, std::uint64_t& next_fid) {
   return true;
 }
 
-// ---------------------------------------------------------------------------
-// Simulated-parallel pass: replay the hierarchical scheduler's cycle trace on
-// an N-core WindKernel (one equal-priority task per shard plus one arbiter
-// task; dwcs/parallel.hpp) and measure decisions/s on the SIMULATED clock —
-// the number the serial host loop structurally cannot show. The dispatch FNV
-// is folded exactly like the identity cells, so parallel-mode rows join the
-// --identity gate: parallel TIME modeling, bit-identical DISPATCH sequence.
-// ---------------------------------------------------------------------------
-
-struct SimParallelResult {
-  std::uint64_t decisions = 0;
-  std::uint64_t dispatch_fnv = 0;
-  double sim_elapsed_sec = 0;
-  std::uint32_t num_cores = 0;
-};
-
-/// Driver process: rounds of up to 256 decisions posted as shard/arbiter work
-/// items, a fence between rounds so each round has a well-defined simulated
-/// end time, shutdown once the budget is spent.
-sim::Coro drive_parallel(sim::Engine& eng, dwcs::DwcsScheduler& sched,
-                         dwcs::ShardCycleMeter& meter,
-                         dwcs::ParallelShardExecutor& exec, std::size_t n,
-                         std::uint64_t budget, SimParallelResult& r) {
-  const std::uint32_t shards = exec.shards();
-  sim::Time now = sim::Time::zero();  // scheduler-logical deadline clock
-  std::uint64_t fid = n;
-  std::uint64_t fnv = 14695981039346656037ull;
-  while (r.decisions < budget) {
-    const std::uint64_t round =
-        std::min<std::uint64_t>(256, budget - r.decisions);
-    for (std::uint64_t k = 0; k < round; ++k) {
-      if (const auto next = sched.earliest_backlog_deadline();
-          next && *next > now) {
-        now = *next;
-      }
-      const std::int64_t t0 = meter.total();
-      const auto d = sched.schedule_next(now);
-      if (!d) {
-        budget = r.decisions;  // drained; fall through to the final fence
-        break;
-      }
-      ++r.decisions;
-      fnv = (fnv ^ static_cast<std::uint64_t>(d->stream)) * 1099511628211ull;
-      dwcs::FrameDescriptor refill;
-      refill.frame_id = fid++;
-      refill.bytes = mpeg::kPaperFrameBytes;
-      refill.enqueued_at = now;
-      (void)sched.enqueue(d->stream, refill, now);
-      // Bracket covers decision + refill: every cycle the meter charged
-      // beyond the traced shard/root mutations (decision overhead, ring
-      // ops, window adjustments, stream-state touches) is service work for
-      // the dispatched stream and runs on its owning core.
-      exec.finish_decision(dwcs::shard_of(d->stream, shards),
-                           meter.total() - t0);
-    }
-    co_await exec.fence();
-  }
-  r.dispatch_fnv = fnv;
-  r.sim_elapsed_sec = eng.now().to_sec();
-  exec.shutdown();
-}
-
-SimParallelResult run_sim_parallel(std::uint32_t shards, std::size_t n,
-                                   std::uint64_t seed, std::uint64_t budget) {
-  SimParallelResult r;
-  sim::Engine eng;
-  hw::PciBus bus{eng};
-  hw::EthernetSwitch ether{eng};
-  hw::Calibration cal;
-  // One knob drives both models: the board builds `shards` cores
-  // (cal.interconnect.cores), and the wind kernel schedules across exactly
-  // board.num_cores() — the cycle model and the task model cannot disagree.
-  cal.interconnect.cores = static_cast<int>(shards == 0 ? 1 : shards);
-  hw::NicBoard board{"ni0", eng, bus, ether, /*rx=*/{}, cal};
-  r.num_cores = static_cast<std::uint32_t>(board.num_cores());
-  rtos::WindKernel kernel{eng, board.cpu(), cal.rtos, board.num_cores()};
-  dwcs::ShardCycleMeter meter{cal, shards, /*heap_base=*/0x0100'0000,
-                              dwcs::kCoreStride};
-  auto sched = make_loaded_scheduler(dwcs::ReprKind::kHierarchical, shards, n,
-                                     seed, &meter);
-  dwcs::ParallelShardExecutor exec{kernel, shards};
-  // Attach AFTER setup so the bulk-load mutations are not replayed as work.
-  static_cast<dwcs::HierarchicalScheduler&>(sched->repr())
-      .set_exec_trace(&exec, &meter);
-  drive_parallel(eng, *sched, meter, exec, n, budget, r).detach();
-  eng.run_until(sim::Time::sec(1e9));
-  return r;
-}
-
 SweepResult run_config(dwcs::ReprKind kind, std::uint32_t shards,
                        std::size_t n, std::uint64_t seed,
                        double throughput_budget_sec,
-                       double latency_budget_sec, std::uint64_t sim_budget) {
+                       double latency_budget_sec) {
   SweepResult r;
   r.repr = dwcs::to_string(kind);
   r.shards = kind == dwcs::ReprKind::kHierarchical ? shards : 0;
@@ -326,23 +222,6 @@ SweepResult run_config(dwcs::ReprKind kind, std::uint32_t shards,
     }
   }
 
-  // Simulated-parallel pass (hierarchical cells): fixed decision count so
-  // sim_decisions_per_s is comparable across shard counts at equal work.
-  // Capped at 100k streams: the accounted-hook setup (eager per-insert root
-  // refresh through the cycle meter) costs many minutes at 1M for a scaling
-  // ratio that is already unambiguous at 100k — same skip policy as the
-  // sorted-list and fcfs cells above.
-  if (kind == dwcs::ReprKind::kHierarchical && sim_budget > 0 &&
-      n <= 100'000) {
-    const auto sp = run_sim_parallel(shards, n, seed, sim_budget);
-    r.num_cores = sp.num_cores;
-    r.sim_decisions = sp.decisions;
-    r.sim_elapsed_sec = sp.sim_elapsed_sec;
-    r.sim_decisions_per_s =
-        sp.sim_elapsed_sec > 0
-            ? static_cast<double>(sp.decisions) / sp.sim_elapsed_sec
-            : 0;
-  }
   return r;
 }
 
@@ -661,18 +540,7 @@ bool write_json(const std::vector<SweepResult>& results,
                     "\"p99_ns\": %.0f",
                     static_cast<unsigned long long>(r.decisions),
                     r.elapsed_sec, r.decisions_per_sec, r.p50_ns, r.p99_ns);
-      out << buf;
-      if (r.num_cores != 0) {
-        std::snprintf(buf, sizeof buf,
-                      ", \"num_cores\": %u, \"sim_decisions\": %llu, "
-                      "\"sim_elapsed_sec\": %.6f, "
-                      "\"sim_decisions_per_s\": %.0f",
-                      r.num_cores,
-                      static_cast<unsigned long long>(r.sim_decisions),
-                      r.sim_elapsed_sec, r.sim_decisions_per_s);
-        out << buf;
-      }
-      out << "}";
+      out << buf << "}";
     }
     out << (i + 1 < results.size() ? ",\n" : "\n");
   }
@@ -720,6 +588,7 @@ bool write_json(const std::vector<SweepResult>& results,
 struct IdentityRow {
   std::string repr;
   std::uint32_t shards = 0;
+  bool accounted = false;  // ran on the charge-discarding accounted hook
   std::uint64_t decisions = 0;
   std::uint64_t dispatch_fnv = 0;
 };
@@ -734,6 +603,7 @@ IdentityRow run_identity_cell(dwcs::ReprKind kind, std::uint32_t shards,
   IdentityRow row;
   row.repr = dwcs::to_string(kind);
   row.shards = kind == dwcs::ReprKind::kHierarchical ? shards : 0;
+  row.accounted = hook != nullptr;
   auto sched = make_loaded_scheduler(kind, shards, n, seed, hook);
   sim::Time now = sim::Time::zero();
   std::uint64_t fid = n;
@@ -761,43 +631,43 @@ int run_identity(const std::vector<std::uint32_t>& shard_list, std::size_t n,
                  std::uint64_t seed, std::uint64_t budget,
                  const std::string& out_path, unsigned jobs) {
   // Row 0 is the dual-heap reference, row 1 the flat PIFO rank engine under
-  // the DWCS rank, then hierarchical at every shard count, then the
-  // simulated-parallel execution mode at every shard count (appended last so
-  // pre-existing row positions stay stable for line-oriented CI diffs). The
-  // reference runs on an accounted hook that discards its charges, so it is
-  // the modeled Figure 4(a) dual heap with its tie scan, not the PIFO engine
-  // an uncharged kDualHeap would get.
-  dwcs::CostHook discard;
-  const std::size_t n_serial = 2 + shard_list.size();
-  std::vector<IdentityRow> rows(n_serial + shard_list.size());
+  // the DWCS rank, then uncharged hierarchical at every shard count, then
+  // charged hierarchical at every shard count (appended last so row
+  // positions stay stable for line-oriented CI diffs). The reference and the
+  // charged hierarchical rows run on an accounted hook that discards its
+  // charges, so they are the modeled Figure 4(a) dual heap with its tie scan
+  // (per core, under an eagerly refreshed root), not the PIFO engine an
+  // uncharged kDualHeap gets. Each cell owns its hook: cells run on
+  // concurrent threads under --jobs.
+  const std::size_t n_shards = shard_list.size();
+  std::vector<IdentityRow> rows(2 + 2 * n_shards);
   bench::run_cells(rows.size(), jobs, [&](std::size_t i) {
+    dwcs::CostHook discard;
     if (i == 0) {
       rows[i] = run_identity_cell(dwcs::ReprKind::kDualHeap, 0, n, seed,
                                   budget, &discard);
     } else if (i == 1) {
       rows[i] = run_identity_cell(dwcs::ReprKind::kPifo, 0, n, seed, budget);
-    } else if (i < n_serial) {
-      rows[i] = run_identity_cell(dwcs::ReprKind::kHierarchical,
-                                  shard_list[i - 2], n, seed, budget);
     } else {
-      const std::uint32_t shards = shard_list[i - n_serial];
-      const auto sp = run_sim_parallel(shards, n, seed, budget);
-      rows[i] = IdentityRow{"hierarchical-par", shards, sp.decisions,
-                            sp.dispatch_fnv};
+      const bool charged = i >= 2 + n_shards;
+      rows[i] = run_identity_cell(dwcs::ReprKind::kHierarchical,
+                                  shard_list[(i - 2) % n_shards], n, seed,
+                                  budget, charged ? &discard : nullptr);
     }
   });
 
   std::printf("==== scale sweep --identity: %zu streams, %llu decisions "
               "====\n",
               n, static_cast<unsigned long long>(budget));
-  std::printf("%-16s %8s %12s %18s\n", "repr", "shards", "decisions",
-              "dispatch_fnv");
+  std::printf("%-16s %8s %10s %12s %18s\n", "repr", "shards", "hook",
+              "decisions", "dispatch_fnv");
   bool ok = true;
   for (const auto& r : rows) {
     const bool match = r.decisions == rows[0].decisions &&
                        r.dispatch_fnv == rows[0].dispatch_fnv;
     ok = ok && match;
-    std::printf("%-16s %8u %12llu %18llx%s\n", r.repr.c_str(), r.shards,
+    std::printf("%-16s %8u %10s %12llu %18llx%s\n", r.repr.c_str(),
+                r.shards, r.accounted ? "accounted" : "null",
                 static_cast<unsigned long long>(r.decisions),
                 static_cast<unsigned long long>(r.dispatch_fnv),
                 match ? "" : "  <-- MISMATCH vs dual-heap");
@@ -815,7 +685,8 @@ int run_identity(const std::vector<std::uint32_t>& shard_list, std::size_t n,
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const auto& r = rows[i];
     out << "    {\"repr\": \"" << r.repr << "\", \"shards\": " << r.shards
-        << ", \"decisions\": " << r.decisions << ", \"dispatch_fnv\": \""
+        << ", \"hook\": \"" << (r.accounted ? "accounted" : "null")
+        << "\", \"decisions\": " << r.decisions << ", \"dispatch_fnv\": \""
         << std::hex << r.dispatch_fnv << std::dec << "\"}"
         << (i + 1 < rows.size() ? ",\n" : "\n");
   }
@@ -899,10 +770,6 @@ int main(int argc, char** argv) {
             : std::vector<std::size_t>{1'000, 10'000, 100'000, 1'000'000};
   const double throughput_budget = smoke ? 0.02 : 0.25;
   const double latency_budget = smoke ? 0.02 : 0.15;
-  // Fixed decision count (not a wall-clock budget) for the simulated-parallel
-  // pass: the simulated clock is deterministic, so equal work per cell makes
-  // sim_decisions_per_s directly comparable across shard counts.
-  const std::uint64_t sim_budget = smoke ? 2'000 : 20'000;
   const std::vector<dwcs::ReprKind> kinds = repr_flag(argc, argv);
 
   struct ReprCell {
@@ -928,25 +795,20 @@ int main(int argc, char** argv) {
   bench::run_cells(repr_cells.size(), jobs, [&](std::size_t i) {
     results[i] = run_config(repr_cells[i].kind, repr_cells[i].shards,
                             repr_cells[i].streams, seed, throughput_budget,
-                            latency_budget, sim_budget);
+                            latency_budget);
   });
-  std::printf("%-16s %8s %10s %16s %12s %12s %8s %14s\n", "repr", "shards",
-              "streams", "decisions/sec", "p50 ns", "p99 ns", "cores",
-              "sim dec/s");
+  std::printf("%-16s %8s %10s %16s %12s %12s\n", "repr", "shards",
+              "streams", "decisions/sec", "p50 ns", "p99 ns");
   for (const auto& r : results) {
     char shards_col[16] = "-";
     if (r.shards != 0) std::snprintf(shards_col, sizeof shards_col, "%u", r.shards);
     if (r.skipped) {
       std::printf("%-16s %8s %10zu %16s (%s)\n", r.repr.c_str(), shards_col,
                   r.streams, "skipped", r.skip_reason);
-    } else if (r.num_cores != 0) {
-      std::printf("%-16s %8s %10zu %16.0f %12.0f %12.0f %8u %14.0f\n",
-                  r.repr.c_str(), shards_col, r.streams, r.decisions_per_sec,
-                  r.p50_ns, r.p99_ns, r.num_cores, r.sim_decisions_per_s);
     } else {
-      std::printf("%-16s %8s %10zu %16.0f %12.0f %12.0f %8s %14s\n",
-                  r.repr.c_str(), shards_col, r.streams, r.decisions_per_sec,
-                  r.p50_ns, r.p99_ns, "-", "-");
+      std::printf("%-16s %8s %10zu %16.0f %12.0f %12.0f\n", r.repr.c_str(),
+                  shards_col, r.streams, r.decisions_per_sec, r.p50_ns,
+                  r.p99_ns);
     }
   }
 

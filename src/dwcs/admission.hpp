@@ -57,10 +57,16 @@ class AdmissionController {
     return per_frame_cpu_.to_sec() / r.period.to_sec();
   }
 
+  /// Whether admission can price `r` at all: a valid window and a period in
+  /// (0, kMaxPeriod]. A longer period would overflow deadline arithmetic.
+  [[nodiscard]] static bool valid(const Request& r) {
+    return r.tolerance.valid() && r.period > sim::Time::zero() &&
+           r.period <= kMaxPeriod;
+  }
+
   [[nodiscard]] bool would_admit(const Request& r) const {
-    return link_used_ + link_load(r) <= headroom_ &&
-           cpu_used_ + cpu_load(r) <= headroom_ &&
-           r.tolerance.valid() && r.period > sim::Time::zero();
+    return valid(r) && link_used_ + link_load(r) <= headroom_ &&
+           cpu_used_ + cpu_load(r) <= headroom_;
   }
 
   /// Try to admit; reserves the request's share on success.

@@ -2,8 +2,6 @@
 
 #include <cassert>
 
-#include "dwcs/shard_exec.hpp"
-
 namespace nistream::dwcs {
 
 HierarchicalScheduler::HierarchicalScheduler(const StreamTable& table,
@@ -86,16 +84,7 @@ bool HierarchicalScheduler::winner_precedes(StreamId a, StreamId b) const {
 void HierarchicalScheduler::on_charge(StreamId id) {
   // Forward to the owning core's policy state; the scheduler's follow-up
   // update()/remove() of the same stream refreshes the shard and root.
-  const auto s = shard_for(id);
-  std::int64_t t0 = 0;
-  if (trace_ != nullptr) {
-    meter_->set_context(s);
-    t0 = meter_->total();
-  }
-  cores_[s]->on_charge(id);
-  if (trace_ != nullptr) {
-    trace_->mutation(s, id, meter_->total() - t0, 0);
-  }
+  cores_[shard_for(id)]->on_charge(id);
 }
 
 void HierarchicalScheduler::refresh(std::uint32_t s, StreamId mutated) {
@@ -128,11 +117,13 @@ void HierarchicalScheduler::refresh(std::uint32_t s, StreamId mutated) {
   } else {
     // Re-sift only the entries the mutation could have changed: a new id,
     // or the cached stream itself mutated (its key changed under the root).
-    if (new_w != old_w || mutated == new_w) {
+    // No named stream means any number of mutations: re-sift both.
+    const bool any = mutated == kInvalidStream;
+    if (any || new_w != old_w || mutated == new_w) {
       root_pick_.update(s);
       root_changed = true;
     }
-    if (new_e != old_e || mutated == new_e) {
+    if (any || new_e != old_e || mutated == new_e) {
       root_deadline_.update(s);
       root_changed = true;
     }
@@ -143,96 +134,40 @@ void HierarchicalScheduler::refresh(std::uint32_t s, StreamId mutated) {
   // Single-core boards (1 shard) have no interconnect to cross.
   if (root_changed && charged_ && hop_cycles_ > 0 && cores_.size() > 1) {
     hook_->cycles(hop_cycles_);
-    ++hops_charged_;
   }
 }
 
 void HierarchicalScheduler::flush_dirty() {
+  // Any number of mutations may have landed since the last repair; both
+  // cached keys may have changed even when the cached ids did not, so name
+  // no stream and re-sift unconditionally (an in-place update of an unmoved
+  // entry is two compares on an N-entry heap). Uncharged: no hop is charged.
   for (const auto s : dirty_list_) {
     dirty_[s] = 0;
-    const StreamId old_w = winner_[s];
-    const auto w = cores_[s]->pick();
-    const StreamId new_w = w ? *w : kInvalidStream;
-    winner_[s] = new_w;
-    edl_[s] = w ? *cores_[s]->earliest_deadline() : kInvalidStream;
-    if (new_w == kInvalidStream) {
-      if (old_w != kInvalidStream) {
-        root_pick_.erase(s);
-        root_deadline_.erase(s);
-      }
-    } else if (old_w == kInvalidStream) {
-      root_pick_.push(s);
-      root_deadline_.push(s);
-    } else {
-      // Any number of mutations may have landed since the last repair; both
-      // cached keys may have changed even when the cached ids did not, so
-      // re-sift unconditionally (an in-place update of an unmoved entry is
-      // two compares on an N-entry heap).
-      root_pick_.update(s);
-      root_deadline_.update(s);
-    }
+    refresh(s, kInvalidStream);
   }
   dirty_list_.clear();
 }
 
 void HierarchicalScheduler::insert(StreamId id) {
   const auto s = shard_for(id);
-  std::int64_t t0 = 0;
-  if (trace_ != nullptr) {
-    meter_->set_context(s);
-    t0 = meter_->total();
-  }
   cores_[s]->insert(id);
   ++population_[s];
-  const std::int64_t t1 = trace_ != nullptr ? meter_->total() : 0;
-  if (charged_) {
-    refresh(s, id);
-  } else {
-    mark_dirty(s);
-  }
-  if (trace_ != nullptr) {
-    trace_->mutation(s, id, t1 - t0, meter_->total() - t1);
-  }
+  settle(s, id);
 }
 
 void HierarchicalScheduler::remove(StreamId id) {
   const auto s = shard_for(id);
-  std::int64_t t0 = 0;
-  if (trace_ != nullptr) {
-    meter_->set_context(s);
-    t0 = meter_->total();
-  }
   cores_[s]->remove(id);
   assert(population_[s] > 0);
   --population_[s];
-  const std::int64_t t1 = trace_ != nullptr ? meter_->total() : 0;
-  if (charged_) {
-    refresh(s, id);
-  } else {
-    mark_dirty(s);
-  }
-  if (trace_ != nullptr) {
-    trace_->mutation(s, id, t1 - t0, meter_->total() - t1);
-  }
+  settle(s, id);
 }
 
 void HierarchicalScheduler::update(StreamId id) {
   const auto s = shard_for(id);
-  std::int64_t t0 = 0;
-  if (trace_ != nullptr) {
-    meter_->set_context(s);
-    t0 = meter_->total();
-  }
   cores_[s]->update(id);
-  const std::int64_t t1 = trace_ != nullptr ? meter_->total() : 0;
-  if (charged_) {
-    refresh(s, id);
-  } else {
-    mark_dirty(s);
-  }
-  if (trace_ != nullptr) {
-    trace_->mutation(s, id, t1 - t0, meter_->total() - t1);
-  }
+  settle(s, id);
 }
 
 void HierarchicalScheduler::reserve(std::size_t n) {

@@ -60,15 +60,11 @@
 
 namespace nistream::dwcs {
 
-class ShardExecTrace;
-class ShardCycleMeter;
-
 /// Simulated card-memory stride between per-core heap regions. A per-core
 /// engine occupies two 0x10000 regions (rank/deadline or deadline/tolerance
 /// heap); each core gets its own pair so cache models see per-core working
 /// sets, not one shared array. The two root heaps occupy the stride after
-/// the last core's. Public so the cycle meter (shard_exec.hpp) can route a
-/// heap access to the owning core's cache by address alone.
+/// the last core's.
 inline constexpr SimAddr kCoreStride = 0x20000;
 
 /// Stable shard assignment: a splitmix64 finalizer over the stream id,
@@ -113,22 +109,6 @@ class HierarchicalScheduler final : public ScheduleRepr {
   [[nodiscard]] std::size_t shard_population(std::uint32_t s) const {
     return population_[s];
   }
-
-  /// Simulated-parallel execution (shard_exec.hpp): report every mutation's
-  /// cycle split — per-shard engine work vs root-arbiter work — to `trace`,
-  /// measured as deltas of `meter`, which MUST be the CostHook this scheduler
-  /// was constructed over (the deltas bracket this scheduler's own charges).
-  /// Passing nullptrs detaches. Attach AFTER bulk setup, or the setup
-  /// mutations become replayed work items too.
-  void set_exec_trace(ShardExecTrace* trace, ShardCycleMeter* meter) {
-    trace_ = trace;
-    meter_ = meter;
-  }
-
-  /// Interconnect hops charged so far (charged runs with hop_cycles > 0 on
-  /// a multi-shard board; 0 otherwise). The parallel-mode identity suite
-  /// asserts this equals the serial scheduler's count for the same workload.
-  [[nodiscard]] std::uint64_t hops_charged() const { return hops_charged_; }
 
   /// The shared tenant-scope ledger (kTenantDwcs only): install scope and
   /// weight assignments here BEFORE inserting the affected streams — under
@@ -182,10 +162,11 @@ class HierarchicalScheduler final : public ScheduleRepr {
   /// Build the engine of one core at `core_base` per the active policy.
   [[nodiscard]] std::unique_ptr<ScheduleRepr> make_core(SimAddr core_base);
 
-  /// Re-decide shard `s` after mutating `mutated` in it, and re-sift its
-  /// two root entries. Charges one interconnect hop per root entry whose
-  /// content the mutation changed (winner id changed, or the mutated stream
-  /// IS the cached entry so its key changed under the root's feet).
+  /// Re-decide shard `s` after mutating `mutated` in it, and re-sift the
+  /// root entries the mutation changed (winner id changed, or the mutated
+  /// stream IS the cached entry so its key changed under the root's feet);
+  /// kInvalidStream re-sifts both. Charged runs pay one interconnect hop
+  /// when any root entry changed.
   void refresh(std::uint32_t s, StreamId mutated);
 
   /// Uncharged fast path: mutations only mark their shard dirty; the root
@@ -197,8 +178,13 @@ class HierarchicalScheduler final : public ScheduleRepr {
   /// their root stays eagerly consistent so each interconnect hop is charged
   /// at the mutation that caused it, keeping the cycle ledger deterministic.
   void flush_dirty();
-  void mark_dirty(std::uint32_t s) {
-    if (!dirty_[s]) {
+
+  /// After mutating `id` in shard `s`: charged runs refresh the root now,
+  /// uncharged runs mark the shard for the next flush_dirty().
+  void settle(std::uint32_t s, StreamId id) {
+    if (charged_) {
+      refresh(s, id);
+    } else if (!dirty_[s]) {
       dirty_[s] = 1;
       dirty_list_.push_back(s);
     }
@@ -221,11 +207,6 @@ class HierarchicalScheduler final : public ScheduleRepr {
   /// core clocks scope finish tags against the one shared ledger when
   /// policy_ == kTenantDwcs.
   TenantDwcsRank tenant_;
-  /// Simulated-parallel cycle reporting (set_exec_trace); both null in the
-  /// default serial mode.
-  ShardExecTrace* trace_ = nullptr;
-  ShardCycleMeter* meter_ = nullptr;
-  std::uint64_t hops_charged_ = 0;
   std::vector<std::unique_ptr<ScheduleRepr>> cores_;
   std::vector<StreamId> winner_;  // per shard; kInvalidStream when empty
   std::vector<StreamId> edl_;     // per shard; kInvalidStream when empty

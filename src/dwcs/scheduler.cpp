@@ -35,7 +35,7 @@ std::size_t DwcsScheduler::backlog(StreamId id) const {
 StreamId DwcsScheduler::create_stream(const StreamParams& params,
                                       sim::Time now) {
   assert(params.tolerance.valid());
-  assert(params.period > sim::Time::zero());
+  assert(params.period > sim::Time::zero() && params.period <= kMaxPeriod);
   const auto id = static_cast<StreamId>(streams_.size());
   StreamState s;
   s.params = params;

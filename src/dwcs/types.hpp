@@ -34,6 +34,11 @@ struct WindowConstraint {
                          const WindowConstraint&) = default;
 };
 
+/// Longest stream period admission accepts. Deadlines are `now + period` in
+/// sim::Time's int64 nanoseconds, so an hour-long cap leaves ~292 years of
+/// simulated `now` before that sum can overflow.
+inline constexpr sim::Time kMaxPeriod = sim::Time::sec(3600);
+
 /// Static per-stream service specification.
 struct StreamParams {
   WindowConstraint tolerance{};             // original xi/yi

@@ -96,6 +96,7 @@ class RtspFrontDoor {
     std::uint64_t bad_state_455 = 0;
     std::uint64_t reaped_idle = 0;        // sessions the reaper collected
     std::uint64_t conn_closed = 0;        // sessions closed by control FIN
+    std::uint64_t over_cap_closed = 0;    // connections cut off at the cap
     std::uint64_t eos = 0;                // pumps that ran the media dry
     std::uint64_t frames_pumped = 0;
     /// Pump starts that found no SETUP-time reservation. Structurally zero:
@@ -167,6 +168,7 @@ class RtspFrontDoor {
     int reply_port = -1;
     std::unique_ptr<net::TcpLiteSender> tx;
     std::vector<std::uint64_t> sessions;
+    bool cut_off = false;  // over the buffer cap: its bytes are dropped
   };
 
   /// A live pump: the session path, its gate, and the RTP state that must
@@ -192,6 +194,7 @@ class RtspFrontDoor {
     // charging already happened in TcpLite. Reassemble per connection, then
     // hand complete messages to the control task.
     Connection& conn = conns_[peer];
+    if (conn.cut_off) return;
     if (const auto* chunk =
             static_cast<const std::string*>(p.body.get())) {
       conn.buf.append(*chunk);
@@ -199,26 +202,53 @@ class RtspFrontDoor {
     while (auto msg = conn.buf.next()) {
       inbox_.send(Pending{peer, std::move(*msg)});
     }
+    if (conn.buf.over_cap()) cut_off(peer, conn);
+  }
+
+  /// A peer that buffered more than MessageBuffer::kMaxPendingBytes without
+  /// completing a message: answer 400, close the connection and its
+  /// sessions as a FIN would, and drop whatever the peer sends after.
+  void cut_off(int peer, Connection& conn) {
+    ++stats_.bad_requests;
+    ++stats_.over_cap_closed;
+    if (const auto rp = find_reply_port(conn.buf.pending())) {
+      conn.reply_port = *rp;
+    }
+    respond(peer, RtspResponse{.status = 400});
+    if (conn.tx) conn.tx->close();
+    (void)std::exchange(conn.buf, MessageBuffer{});  // frees the bytes
+    conn.cut_off = true;
+    close_owned(conn);
   }
 
   void on_conn_close(int peer) {
     const auto it = conns_.find(peer);
     if (it == conns_.end()) return;
-    // Close every session the connection owns — the client FIN'd without
-    // TEARDOWN (or after it; then the list is already empty).
-    const std::vector<std::uint64_t> owned = std::move(it->second.sessions);
+    close_owned(it->second);
+    conns_.erase(peer);
+  }
+
+  /// Close every session `conn` owns — the client FIN'd without TEARDOWN
+  /// (or after it; then the list is already empty), or was cut off.
+  void close_owned(Connection& conn) {
+    const std::vector<std::uint64_t> owned = std::move(conn.sessions);
     for (const std::uint64_t sid : owned) {
       if (sessions_.contains(sid)) {
         close_session(sid);
         ++stats_.conn_closed;
       }
     }
-    conns_.erase(peer);
   }
 
   sim::Coro control_loop() {
     for (;;) {
       Pending p = co_await inbox_.receive();
+      // Messages a cut-off connection completed before the cap are dropped
+      // with it.
+      if (const auto it = conns_.find(p.peer);
+          it != conns_.end() && it->second.cut_off) {
+        continue;
+      }
       ++stats_.requests;
       co_await ctl_task_.consume_cycles(
           config_.request_cycles +
@@ -258,6 +288,13 @@ class RtspFrontDoor {
         .tolerance = req.tolerance,
         .period = req.period,
         .mean_frame_bytes = req.frame_bytes + path::kRtpHeaderBytes};
+    // A request admission cannot price (a period past dwcs::kMaxPeriod) is
+    // malformed, not a capacity denial: 400, and no stream is created.
+    if (!dwcs::AdmissionController::valid(adm)) {
+      ++stats_.bad_requests;
+      respond(peer, RtspResponse{.status = 400, .cseq = req.cseq});
+      return;
+    }
     // Tenant budget first: a tenant over its share is denied even while the
     // NI as a whole has headroom — that is the flood-isolation contract.
     ingress::TenantId tid = 0;

@@ -392,22 +392,42 @@ split_header(std::string_view line) {
 /// of buffered bytes; next() pops complete messages in arrival order.
 class MessageBuffer {
  public:
+  /// Most bytes a connection may hold without a complete message. A request
+  /// here is a few hundred bytes; a peer past the cap is answered 400 and
+  /// cut off by the front door instead of growing the buffer without bound.
+  static constexpr std::size_t kMaxPendingBytes = 8 * 1024;
+
   void append(std::string_view chunk) { buf_.append(chunk); }
 
   /// Next complete message (terminator included in the consumed bytes,
   /// excluded from the returned text), or nullopt when none is buffered.
+  /// The terminator search resumes where the last one stopped, 3 bytes back
+  /// for a terminator split across chunks, so a peer that drips bytes costs
+  /// O(n) in total, not O(n^2).
   [[nodiscard]] std::optional<std::string> next() {
-    const std::size_t end = buf_.find("\r\n\r\n");
-    if (end == std::string::npos) return std::nullopt;
+    const std::size_t from = scanned_ < 3 ? 0 : scanned_ - 3;
+    const std::size_t end = buf_.find("\r\n\r\n", from);
+    if (end == std::string::npos) {
+      scanned_ = buf_.size();
+      return std::nullopt;
+    }
     std::string msg = buf_.substr(0, end + 2);  // keep last header's \r\n
     buf_.erase(0, end + 4);
+    scanned_ = 0;
     return msg;
   }
 
   [[nodiscard]] std::size_t pending_bytes() const { return buf_.size(); }
+  /// The buffered bytes of the partial message (the front door reads a
+  /// Reply-Port from them before cutting an over-cap peer off).
+  [[nodiscard]] std::string_view pending() const { return buf_; }
+  [[nodiscard]] bool over_cap() const {
+    return buf_.size() > kMaxPendingBytes;
+  }
 
  private:
   std::string buf_;
+  std::size_t scanned_ = 0;  // bytes of buf_ searched without a terminator
 };
 
 }  // namespace nistream::session

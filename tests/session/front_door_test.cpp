@@ -45,7 +45,11 @@ struct Ctl {
 
   void send(RtspRequest req) {
     req.reply_port = rx.port();
-    auto body = std::make_shared<std::string>(format_request(req));
+    send_raw(format_request(req));
+  }
+
+  void send_raw(std::string text) {
+    auto body = std::make_shared<std::string>(std::move(text));
     net::Packet pkt;
     pkt.bytes = static_cast<std::uint32_t>(body->size());
     pkt.body = std::move(body);
@@ -392,6 +396,81 @@ TEST(FrontDoor, ShallowIdlePoolKeepsTheBaseTimeout) {
   rig.eng.run_until(Time::ms(500));  // base 300ms timeout does fire
   EXPECT_EQ(rig.server->door().live_sessions(), 0u);
   EXPECT_EQ(rig.server->door().stats().reaped_idle, 2u);
+}
+
+TEST(FrontDoor, PeriodPastTheBoundGets400AndNoStream) {
+  // X-Period-Us at the parser's bound is a representable period (its load
+  // rounds to 0, so capacity alone admits it), but `now + period` would
+  // overflow the stream's first deadline. Admission refuses it as malformed.
+  Rig rig;
+  Ctl ctl{rig.eng, rig.ether, rig.server->control_port()};
+  auto setup = rig.setup_request(10);
+  setup.rtp_port = rig.media.port();
+  setup.reply_port = ctl.rx.port();
+  std::string text = format_request(setup);
+  const std::string period = "X-Period-Us: 10000\r\n";
+  ASSERT_NE(text.find(period), std::string::npos);
+  text.replace(text.find(period), period.size(),
+               "X-Period-Us: " + std::to_string(detail::kMaxPeriodUs) +
+                   "\r\n");
+  ASSERT_TRUE(parse_request(text.substr(0, text.size() - 2)).has_value());
+  ctl.send_raw(text);
+  rig.eng.run_until(Time::ms(100));
+  ASSERT_EQ(ctl.got.size(), 1u);
+  EXPECT_EQ(ctl.got[0].status, 400);
+  EXPECT_FALSE(ctl.got[0].has_stream);
+  EXPECT_EQ(rig.server->door().stats().bad_requests, 1u);
+  EXPECT_EQ(rig.server->door().stats().setups_ok, 0u);
+  EXPECT_EQ(rig.server->door().live_sessions(), 0u);
+  EXPECT_EQ(rig.server->admission().admitted(), 0u);
+  EXPECT_EQ(rig.server->service().scheduler().stream_count(), 0u);
+
+  // The bound itself is admissible.
+  setup.period = dwcs::kMaxPeriod;
+  ctl.send(setup);
+  rig.eng.run_until(Time::ms(200));
+  ASSERT_EQ(ctl.got.size(), 2u);
+  EXPECT_EQ(ctl.got[1].status, 200);
+}
+
+TEST(RtspMessageBuffer, OverCapConnectionGets400AndIsClosed) {
+  Rig rig;
+  Ctl ctl{rig.eng, rig.ether, rig.server->control_port()};
+  auto setup = rig.setup_request(1000);
+  setup.rtp_port = rig.media.port();
+  ctl.send(setup);
+  rig.eng.run_until(Time::ms(100));
+  ASSERT_EQ(ctl.got.size(), 1u);
+  ASSERT_EQ(ctl.got[0].status, 200);
+  ASSERT_EQ(rig.server->door().live_sessions(), 1u);
+
+  // Header lines that never end in a blank line, dripped in 1 KiB chunks
+  // until the buffer passes its cap.
+  ctl.send_raw("PLAY rtsp://x RTSP/1.0\r\nCSeq: 2\r\n");
+  const std::string pad = "X-Pad: " + std::string(1014, 'a') + "\r\n";
+  for (std::size_t sent = 0; sent <= MessageBuffer::kMaxPendingBytes;
+       sent += pad.size()) {
+    ctl.send_raw(pad);
+  }
+  rig.eng.run_until(Time::ms(200));
+  ASSERT_EQ(ctl.got.size(), 2u);
+  EXPECT_EQ(ctl.got[1].status, 400);
+  const auto& st = rig.server->door().stats();
+  EXPECT_EQ(st.over_cap_closed, 1u);
+  EXPECT_EQ(st.bad_requests, 1u);
+  // Closing the connection closed the session it owned, as a FIN would.
+  EXPECT_EQ(st.conn_closed, 1u);
+  EXPECT_EQ(rig.server->door().live_sessions(), 0u);
+  EXPECT_EQ(rig.server->admission().admitted(), 0u);
+
+  // The connection stays cut off: a well-formed request is dropped unread.
+  const auto requests = st.requests;
+  ctl.send_raw("\r\n\r\n");
+  ctl.send(setup);
+  rig.eng.run_until(Time::ms(300));
+  EXPECT_EQ(ctl.got.size(), 2u);
+  EXPECT_EQ(st.requests, requests);
+  EXPECT_EQ(rig.server->door().live_sessions(), 0u);
 }
 
 }  // namespace

@@ -223,5 +223,71 @@ TEST(RtspMessageBuffer, SplitTerminatorAndBackToBackMessages) {
   EXPECT_FALSE(buf.next().has_value());
 }
 
+/// Three requests back to back, and the text next() must return for each
+/// (the blank line's \r\n is consumed, not returned).
+struct ThreeMessages {
+  std::string wire;
+  std::vector<std::string> texts;
+  ThreeMessages() {
+    RtspRequest r;
+    r.method = Method::kPlay;
+    for (std::uint64_t cseq = 1; cseq <= 3; ++cseq) {
+      r.cseq = cseq;
+      const std::string one = format_request(r);
+      wire += one;
+      texts.push_back(one.substr(0, one.size() - 2));
+    }
+  }
+};
+
+std::vector<std::string> drain(MessageBuffer& buf) {
+  std::vector<std::string> out;
+  while (auto m = buf.next()) out.push_back(std::move(*m));
+  return out;
+}
+
+TEST(RtspMessageBuffer, TerminatorSplitAtEveryChunkOffset) {
+  // Three chunks cut at every pair of offsets: every terminator is split at
+  // every position, including three ways ("\r" | "\n\r" | "\n"), and the
+  // resumed search must still find each one exactly once.
+  const ThreeMessages m;
+  const std::size_t n = m.wire.size();
+  for (std::size_t i = 0; i <= n; ++i) {
+    for (std::size_t j = i; j <= n; ++j) {
+      MessageBuffer buf;
+      std::vector<std::string> got;
+      for (const auto& chunk : {m.wire.substr(0, i), m.wire.substr(i, j - i),
+                                m.wire.substr(j)}) {
+        buf.append(chunk);
+        for (auto& t : drain(buf)) got.push_back(std::move(t));
+      }
+      ASSERT_EQ(got, m.texts) << "cuts at " << i << " and " << j;
+      ASSERT_EQ(buf.pending_bytes(), 0u);
+    }
+  }
+}
+
+TEST(RtspMessageBuffer, SeveralMessagesInOneChunk) {
+  const ThreeMessages m;
+  MessageBuffer buf;
+  buf.append(m.wire + "PLAY rtsp://x RTSP/1.0\r\n");  // plus a partial fourth
+  EXPECT_EQ(drain(buf), m.texts);
+  EXPECT_EQ(buf.pending_bytes(), 24u);
+  EXPECT_FALSE(buf.over_cap());
+  buf.append("CSeq: 4\r\n\r\n");
+  const auto fourth = buf.next();
+  ASSERT_TRUE(fourth.has_value());
+  EXPECT_EQ(parse_request(*fourth)->cseq, 4u);
+}
+
+TEST(RtspMessageBuffer, CapCountsOnlyBytesWithoutATerminator) {
+  MessageBuffer buf;
+  buf.append(std::string(MessageBuffer::kMaxPendingBytes, 'a'));
+  EXPECT_FALSE(buf.next().has_value());
+  EXPECT_FALSE(buf.over_cap());
+  buf.append("a");
+  EXPECT_TRUE(buf.over_cap());
+}
+
 }  // namespace
 }  // namespace nistream::session
